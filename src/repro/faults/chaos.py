@@ -20,18 +20,16 @@ Determinism contract (pinned by ``tests/test_chaos_golden.py``):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from typing import TYPE_CHECKING
-
-from repro.analysis.diagnostics import WorkerCrashError
 from repro.faults.injector import fault_session
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultKind, FaultPlan
+from repro.spine import fan_out
 
 if TYPE_CHECKING:
     from repro.interfere.plan import HostTrafficPlan
@@ -42,15 +40,12 @@ __all__ = ["ChaosReport", "run_chaos", "cli"]
 #: (vecadd, Fig 4) and one graph kernel (pr_push, Fig 12).
 DEFAULT_WORKLOADS = ("vecadd", "pr_push")
 
-_MAX_TASK_RESTARTS = 3
-
 
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
 def _chaos_task(name: str, mode_name: str, scale: float, seed: int,
-                plan_json: str, crash: bool,
-                interfere_json: Optional[str] = None) -> Dict:
+                plan_json: str, interfere_json: Optional[str] = None) -> Dict:
     """One workload's clean + faulted pair (runs in this or a worker
     process).  Returns plain data only, so results pickle and merge
     identically whatever the process layout.
@@ -62,28 +57,22 @@ def _chaos_task(name: str, mode_name: str, scale: float, seed: int,
     the yardstick.  The row gains an ``injected_messages`` entry only
     when interference is active, so plain chaos reports (and their
     goldens) stay byte-identical."""
-    if crash:
-        raise WorkerCrashError(name)
-    from contextlib import ExitStack
-
+    from repro.harness.report import run_metrics
+    from repro.interfere.engine import interfere_session
+    from repro.interfere.plan import HostTrafficPlan
     from repro.nsc.engine import EngineMode
     from repro.workloads.base import run_workload
 
     mode = EngineMode[mode_name]
     plan = FaultPlan.from_json(plan_json)
-
-    from repro.harness.report import run_metrics
+    host = (HostTrafficPlan.empty() if interfere_json is None
+            else HostTrafficPlan.from_json(interfere_json))
 
     clean = run_workload(name, mode, scale=scale, seed=seed)
     log = FaultEventLog()
-    with ExitStack() as stack:
-        interference = None
-        if interfere_json is not None:
-            from repro.interfere.engine import interfere_session
-            from repro.interfere.plan import HostTrafficPlan
-            interference = stack.enter_context(interfere_session(
-                HostTrafficPlan.from_json(interfere_json), task=name))
-        session = stack.enter_context(fault_session(plan, log, task=name))
+    # An empty host plan attaches nothing (the plain chaos path).
+    with fault_session(plan, log, task=name) as session, \
+            interfere_session(host, task=name) as interference:
         faulted = run_workload(name, mode, scale=scale, seed=seed)
         session.finalize()
         retries = sum(s.retries for s in session.states)
@@ -95,7 +84,7 @@ def _chaos_task(name: str, mode_name: str, scale: float, seed: int,
            "retries": retries,
            "host_fallbacks": host_fb,
            "records": [r.to_dict() for r in log.records]}
-    if interference is not None:
+    if interfere_json is not None:
         row["injected_messages"] = sum(
             s.injected_messages for s in interference.states)
     return row
@@ -185,73 +174,23 @@ def run_chaos(workloads: Sequence[str], plan: FaultPlan,
     plan, which attaches nothing — leaves the report byte-identical to
     a plain chaos run.
     """
-    notify = progress or (lambda line: None)
     plan_json = plan.to_json()
     interfere_json: Optional[str] = None
     if interfere is not None and not interfere.is_empty:
         interfere_json = interfere.to_json()
     crashes = plan.crash_budget(list(workloads))
-    jobs = max(1, int(jobs))
+    task = functools.partial(_chaos_task, mode_name=mode, scale=scale,
+                             seed=seed, plan_json=plan_json,
+                             interfere_json=interfere_json)
+    results = fan_out(task, workloads, jobs, crashes=crashes,
+                      notify=progress)
+    restarts = dict(crashes)  # fan_out restarts each task its whole budget
 
-    results: Dict[str, Dict] = {}
-    restarts: Dict[str, int] = {}
-
-    def _attempt_loop(run_once: Callable[[bool], Dict], name: str) -> Dict:
-        remaining = crashes.get(name, 0)
-        attempt = 0
-        while True:
-            try:
-                return run_once(remaining > 0)
-            except WorkerCrashError:
-                remaining -= 1
-                attempt += 1
-                restarts[name] = restarts.get(name, 0) + 1
-                if attempt > _MAX_TASK_RESTARTS:
-                    raise
-                notify(f"[restart] {name} worker crashed (injected); "
-                       f"restart {attempt}/{_MAX_TASK_RESTARTS}")
-
-    if jobs == 1 or len(workloads) <= 1:
-        for name in workloads:
-            results[name] = _attempt_loop(
-                lambda c, n=name: _chaos_task(n, mode, scale, seed,
-                                              plan_json, c, interfere_json),
-                name)
-            notify(f"[done] {name}")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(workloads))) as pool:
-            remaining = dict(crashes)
-            attempts: Dict[str, int] = {}
-            futs = {pool.submit(_chaos_task, name, mode, scale, seed,
-                                plan_json, remaining.get(name, 0) > 0,
-                                interfere_json): name
-                    for name in workloads}
-            while futs:
-                fut = next(as_completed(futs))
-                name = futs.pop(fut)
-                try:
-                    results[name] = fut.result()
-                except WorkerCrashError:
-                    remaining[name] = remaining.get(name, 0) - 1
-                    attempts[name] = attempts.get(name, 0) + 1
-                    restarts[name] = restarts.get(name, 0) + 1
-                    if attempts[name] > _MAX_TASK_RESTARTS:
-                        raise
-                    notify(f"[restart] {name} worker crashed (injected); "
-                           f"restart {attempts[name]}/{_MAX_TASK_RESTARTS}")
-                    futs[pool.submit(_chaos_task, name, mode, scale, seed,
-                                     plan_json,
-                                     remaining.get(name, 0) > 0,
-                                     interfere_json)] = name
-                    continue
-                notify(f"[done] {name}")
-
-    # Merge in task order (never completion order) so jobs=1 and jobs=N
-    # produce identical logs and reports.
+    # Results arrive in task order, so jobs=1 and jobs=N produce identical
+    # logs and reports.
     log = FaultEventLog()
     rows: List[Dict] = []
-    for name in workloads:
-        r = results[name]
+    for name, r in zip(workloads, results):
         for _ in range(restarts.get(name, 0)):
             log.add(FaultRecord(task=name, kind=FaultKind.WORKER_CRASH.value,
                                 target=name, action="crash",
@@ -320,7 +259,11 @@ def cli(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError, KeyError) as exc:
             parser.error(f"cannot load fault plan {args.plan}: {exc}")
     else:
-        plan = FaultPlan.generate(args.seed, args.rate, tasks=len(workloads))
+        try:
+            plan = FaultPlan.generate(args.seed, args.rate,
+                                      tasks=len(workloads))
+        except ValueError as exc:
+            parser.error(f"--rate: {exc}")
     interfere = None
     if args.interfere is not None:
         from repro.interfere.plan import HostTrafficPlan

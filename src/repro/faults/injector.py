@@ -2,8 +2,8 @@
 
 Lifecycle:
 
-1. A caller opens ``with fault_session(plan, log, task=...)``.  The
-   session becomes process-globally *active*.
+1. A caller opens ``with fault_session(plan, log, task=...)``, which
+   pushes the session on the spine's stack (:mod:`repro.spine`).
 2. ``make_context`` (workloads/base.py) builds the :class:`Machine` and,
    if a session is active, calls :meth:`FaultSession.attach` — creating a
    :class:`FaultState` bound to that machine (``machine.faults``).
@@ -24,10 +24,9 @@ runs produce identical logs (a property the chaos suite pins).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
-    Iterator,
+    ContextManager,
     List,
     Optional,
     Sequence,
@@ -40,13 +39,13 @@ import numpy as np
 from repro.analysis.diagnostics import TopologyError
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
+from repro.spine import scoped
 
 if TYPE_CHECKING:
     from repro.machine import Machine
     from repro.perf.stats import RunRecorder
 
-__all__ = ["FaultState", "FaultSession", "fault_session",
-           "active_fault_session"]
+__all__ = ["FaultState", "FaultSession", "fault_session"]
 
 
 class FaultState:
@@ -284,6 +283,8 @@ class FaultSession:
     """One plan + log, attachable to any number of machines (a chaos task
     may build several contexts; they share the log)."""
 
+    kind = "faults"
+
     def __init__(self, plan: FaultPlan, log: Optional[FaultEventLog] = None,
                  task: str = "") -> None:
         self.plan = plan
@@ -302,26 +303,12 @@ class FaultSession:
             state.finalize()
 
 
-_ACTIVE: Optional[FaultSession] = None
-
-
-def active_fault_session() -> Optional[FaultSession]:
-    return _ACTIVE
-
-
-@contextmanager
 def fault_session(plan: FaultPlan, log: Optional[FaultEventLog] = None,
-                  task: str = "") -> Iterator[FaultSession]:
+                  task: str = "") -> ContextManager[FaultSession]:
     """Make a fault session active for the dynamic extent of the block.
 
     Machines built inside the block (via ``make_context``) get the plan
-    attached.  Sessions nest; the previous one is restored on exit.
+    attached.  Sessions nest on the spine's stack
+    (:func:`repro.spine.scoped`).
     """
-    global _ACTIVE
-    prev = _ACTIVE
-    session = FaultSession(plan, log, task)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = prev
+    return scoped(FaultSession(plan, log, task))

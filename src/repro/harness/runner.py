@@ -23,14 +23,15 @@ locks down:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -39,6 +40,10 @@ from repro.config import DEFAULT_CONFIG
 from repro.harness import experiments as exp
 from repro.harness import tables
 from repro.harness.report import ascii_table
+from repro.interfere.engine import interfere_session
+from repro.obs.tracer import trace_session
+from repro.relayout.engine import relayout_session
+from repro.spine import MAX_RESTARTS, fan_out
 
 __all__ = ["EXPERIMENTS", "FIGURE_IDS", "ABLATION_IDS", "TABLE_IDS",
            "ALL_IDS", "FigureRun", "RunReport", "run_figures"]
@@ -115,9 +120,14 @@ def _config_fingerprint() -> str:
 # ----------------------------------------------------------------------
 # Worker
 # ----------------------------------------------------------------------
+#: Extension kind -> the session preset a figure runs inside.
+_SESSIONS: Dict[str, Callable] = {"relayout": relayout_session,
+                                  "trace": trace_session,
+                                  "interfere": interfere_session}
+
+
 def _run_one(fid: str, scale: float, seed: int, use_cache: bool,
-             cache_dir: Optional[str], crash: bool = False,
-             relayout=None, trace=None, interfere=None) -> Dict:
+             cache_dir: Optional[str], **extensions: Any) -> Dict:
     """Run one experiment (in this or a worker process) → plain dict.
 
     Figure-level results are cached post-sanitization under a key derived
@@ -125,60 +135,32 @@ def _run_one(fid: str, scale: float, seed: int, use_cache: bool,
     skips the whole experiment.  ``use_cache=False`` bypasses both the
     figure cache and the graph cache underneath.
 
-    ``crash=True`` injects a WORKER_CRASH fault: the worker dies here,
-    before computing or touching the cache, and the parent's restart
-    logic is exercised exactly as if the process had been OOM-killed.
-
-    ``relayout`` (a :class:`repro.relayout.policy.RelayoutConfig`) runs
-    the experiment inside a relayout session, so epoch-aware workloads
-    migrate drifted arrays online.  The config digest joins the cache
-    key; ``None`` leaves the key — and every code path — byte-identical
-    to a plain run.
-
-    ``trace`` (a :class:`repro.obs.tracer.TraceConfig`) runs the
-    experiment inside a trace session, with the same digest-extends-key
-    / None-is-byte-identical contract as ``relayout``.  (Cache hits skip
-    execution, so a hit produces no trace events — ``python -m repro
-    trace`` runs workloads directly when events are the point.)
-
-    ``interfere`` (a :class:`repro.interfere.plan.HostTrafficPlan`) runs
-    the experiment inside an interference session, so a simulated host
-    contends for the same banks and links.  The plan digest joins the
-    cache key only for *non-empty* plans; an empty plan attaches nothing,
-    shares the clean cache entry, and leaves every byte identical to a
-    plain run — the property ``tests/test_interfere_properties.py`` pins.
+    ``extensions`` maps a kind (``relayout``, ``trace``, ``interfere``)
+    to its config — a :class:`repro.relayout.policy.RelayoutConfig`,
+    :class:`repro.obs.tracer.TraceConfig` or non-empty
+    :class:`repro.interfere.plan.HostTrafficPlan`.  The experiment runs
+    inside one session per extension, and each config's digest joins the
+    cache key, so runs with and without it never share entries; with no
+    extensions the key — and every code path — is that of a plain run.
+    (Cache hits skip execution, so a traced hit produces no trace
+    events — ``python -m repro trace`` runs workloads directly when
+    events are the point.)
     """
-    if crash:
-        from repro.analysis.diagnostics import WorkerCrashError
-        raise WorkerCrashError(fid)
     t0 = time.perf_counter()
     cache = get_cache()
     if cache_dir is not None and Path(cache_dir) != cache.root:
         cache = configure(root=cache_dir)
     key_fields = dict(id=fid, scale=scale, seed=seed,
                       config=_config_fingerprint())
-    if relayout is not None:
-        key_fields["relayout"] = relayout.digest()
-    if trace is not None:
-        key_fields["trace"] = trace.digest()
-    if interfere is not None and not interfere.is_empty:
-        key_fields["interfere"] = interfere.digest()
+    key_fields.update((kind, ext.digest()) for kind, ext in extensions.items())
     key = cache_key("experiment", **key_fields)
     payload = cache.get_json(key) if use_cache else None
     from_cache = payload is not None
     if payload is None:
-        from contextlib import ExitStack
         fn = EXPERIMENTS[fid]
         with ExitStack() as stack:
-            if relayout is not None:
-                from repro.relayout.engine import relayout_session
-                stack.enter_context(relayout_session(relayout, task=fid))
-            if trace is not None:
-                from repro.obs.tracer import trace_session
-                stack.enter_context(trace_session(trace, task=fid))
-            if interfere is not None and not interfere.is_empty:
-                from repro.interfere.engine import interfere_session
-                stack.enter_context(interfere_session(interfere, task=fid))
+            for kind, ext in extensions.items():
+                stack.enter_context(_SESSIONS[kind](ext, task=fid))
             if use_cache:
                 result = fn(scale, seed)
             else:
@@ -289,10 +271,9 @@ def _preflight_lint(scale: float, notify: Callable[[str], None]) -> None:
         raise LintFailure(result.report)
 
 
-#: Restarts granted per experiment before an injected worker crash is
-#: allowed to propagate (a crash budget beyond this is a plan bug, not a
-#: degradation scenario).
-_MAX_WORKER_RESTARTS = 3
+#: Restarts granted per experiment before an injected worker crash
+#: propagates: the spine's one budget, under the runner's name.
+_MAX_WORKER_RESTARTS = MAX_RESTARTS
 
 
 def run_figures(ids: Sequence[str], jobs: int = 1, scale: float = 0.12,
@@ -328,25 +309,16 @@ def run_figures(ids: Sequence[str], jobs: int = 1, scale: float = 0.12,
             ``_MAX_WORKER_RESTARTS`` per experiment.  An empty/None plan
             leaves every code path and the metrics JSON byte-identical
             to a plain run.
-        relayout: optional :class:`repro.relayout.policy.RelayoutConfig`.
-            Every experiment runs inside a relayout session with this
-            config, so epoch-aware workloads migrate drifted arrays
-            online.  The config digest joins each figure's cache key
-            (plain and relayout runs never share cache entries); the
-            results filename is unchanged, so a run whose telemetry
-            triggers zero migrations reproduces the plain run's
-            ``run-<hash>.json`` byte for byte.
-        trace: optional :class:`repro.obs.tracer.TraceConfig`.  Every
-            experiment runs inside a trace session; the config digest
-            joins each figure's cache key (traced and plain runs never
-            share entries) while the results filename — and, with
-            ``trace=None``, every byte of the run — is unchanged.
-        interfere: optional :class:`repro.interfere.plan.HostTrafficPlan`.
-            Every experiment runs against this simulated concurrent host;
-            non-empty plan digests join each figure's cache key.  An
-            empty (or None) plan attaches nothing and leaves every byte
-            of the run — metrics JSON, results filename, cache entries —
-            identical to a plain run.
+        relayout, trace, interfere: optional
+            :class:`repro.relayout.policy.RelayoutConfig`,
+            :class:`repro.obs.tracer.TraceConfig` and
+            :class:`repro.interfere.plan.HostTrafficPlan`.  Every
+            experiment runs inside the matching session (online
+            migration, tracing, a contending host); each config's digest
+            joins the figure cache key, so plain and extended runs never
+            share entries.  The results filename never changes, and
+            None — or an empty host plan, which attaches nothing —
+            leaves every byte of the run identical to a plain run.
 
     Returns:
         A :class:`RunReport`; ``report.figures`` preserves ``ids`` order
@@ -360,73 +332,24 @@ def run_figures(ids: Sequence[str], jobs: int = 1, scale: float = 0.12,
     if preflight:
         _preflight_lint(scale, notify)
     jobs = max(1, int(jobs))
-    cache_dir = str(get_cache().root)
     t_start = time.perf_counter()
 
-    crashes: Dict[str, int] = {}
-    if fault_plan is not None and fault_plan.events:
-        crashes = fault_plan.crash_budget(list(ids))
-    from repro.analysis.diagnostics import WorkerCrashError
-
-    def _note_restart(fid: str, attempt: int) -> None:
-        notify(f"[restart] {fid} worker crashed (injected); "
-               f"restart {attempt}/{_MAX_WORKER_RESTARTS}")
-
-    done: Dict[str, Dict] = {}
-    total = len(ids)
-    if jobs == 1 or total <= 1:
-        for i, fid in enumerate(ids):
-            remaining = crashes.get(fid, 0)
-            attempt = 0
-            while True:
-                try:
-                    r = _run_one(fid, scale, seed, use_cache, None,
-                                 crash=remaining > 0, relayout=relayout,
-                                 trace=trace, interfere=interfere)
-                except WorkerCrashError:
-                    remaining -= 1
-                    attempt += 1
-                    if attempt > _MAX_WORKER_RESTARTS:
-                        raise
-                    _note_restart(fid, attempt)
-                    continue
-                break
-            done[fid] = r
-            notify(f"[{i + 1}/{total}] {fid:<12} "
-                   f"{'cache hit' if r['from_cache'] else 'computed'} "
-                   f"in {r['wall_s']:.1f}s")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, total)) as pool:
-            remaining = dict(crashes)
-            attempts: Dict[str, int] = {}
-            futs = {pool.submit(_run_one, fid, scale, seed, use_cache,
-                                cache_dir, remaining.get(fid, 0) > 0,
-                                relayout, trace, interfere): fid
-                    for fid in ids}
-            completed = 0
-            while futs:
-                fut = next(as_completed(futs))
-                fid = futs.pop(fut)
-                try:
-                    r = fut.result()
-                except WorkerCrashError:
-                    remaining[fid] = remaining.get(fid, 0) - 1
-                    attempts[fid] = attempts.get(fid, 0) + 1
-                    if attempts[fid] > _MAX_WORKER_RESTARTS:
-                        raise
-                    _note_restart(fid, attempts[fid])
-                    futs[pool.submit(_run_one, fid, scale, seed, use_cache,
-                                     cache_dir,
-                                     remaining.get(fid, 0) > 0,
-                                     relayout, trace, interfere)] = fid
-                    continue
-                done[r["id"]] = r
-                completed += 1
-                notify(f"[{completed}/{total}] {r['id']:<12} "
-                       f"{'cache hit' if r['from_cache'] else 'computed'} "
-                       f"in {r['wall_s']:.1f}s")
-
-    runs = [FigureRun(**done[fid]) for fid in ids]  # restore request order
+    crashes = ({} if fault_plan is None
+               else fault_plan.crash_budget(list(ids)))
+    if interfere is not None and interfere.is_empty:
+        interfere = None  # attaches nothing: share the clean cache entry
+    extensions = {kind: ext for kind, ext in (("relayout", relayout),
+                                              ("trace", trace),
+                                              ("interfere", interfere))
+                  if ext is not None}
+    task = functools.partial(_run_one, scale=scale, seed=seed,
+                             use_cache=use_cache,
+                             cache_dir=str(get_cache().root), **extensions)
+    done = fan_out(task, ids, jobs, crashes=crashes, notify=notify,
+                   describe=lambda r: (
+                       f" {'cache hit' if r['from_cache'] else 'computed'}"
+                       f" in {r['wall_s']:.1f}s"))
+    runs = [FigureRun(**r) for r in done]
     metrics = metrics_from_runs(runs, scale, seed)
     run_hash = _run_name(ids, scale, seed)
     report = RunReport(figures=runs, metrics=metrics, run_hash=run_hash,

@@ -24,7 +24,6 @@ from repro.interfere.plan import (
 from repro.interfere.engine import (
     InterferenceSession,
     InterferenceState,
-    active_interference_session,
     interfere_session,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "predict_host_injection",
     "InterferenceSession",
     "InterferenceState",
-    "active_interference_session",
     "interfere_session",
 ]

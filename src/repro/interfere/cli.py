@@ -21,13 +21,14 @@ completion order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.interfere.plan import HostTrafficPlan
+from repro.spine import check_determinism, fan_out
 
 __all__ = ["InterfereReport", "DEFAULT_WORKLOADS", "DEFAULT_FACTORS",
            "run_interfere", "cli"]
@@ -89,9 +90,9 @@ def _interfere_task(name: str, mode_name: str, scale: float, seed: int,
         from repro.relayout.policy import RelayoutConfig
         fmax = max(factors)
         cfg = RelayoutConfig(seed=seed)
-        with interfere_session(plan.scaled(fmax), task=name):
-            with relayout_session(cfg, task=name) as relayout:
-                online = run_workload(name, mode, scale=scale, seed=seed)
+        with interfere_session(plan.scaled(fmax), task=name), \
+                relayout_session(cfg, task=name) as relayout:
+            online = run_workload(name, mode, scale=scale, seed=seed)
         online_m = run_metrics(online)
         contended = next(a["metrics"]["cycles"] for a in arms
                          if a["factor"] == fmax)
@@ -194,35 +195,18 @@ def run_interfere(workloads: Sequence[str], plan: HostTrafficPlan,
                   progress: Optional[Callable[[str], None]] = None
                   ) -> InterfereReport:
     """Run clean-vs-contended sweeps for every workload under one plan."""
-    notify = progress or (lambda line: None)
     plan_json = plan.to_json()
     factors_t = tuple(float(f) for f in factors)
-    jobs = max(1, int(jobs))
     from repro.workloads import WORKLOADS
     unknown = [w for w in workloads if w not in WORKLOADS]
     if unknown:
         raise KeyError(f"unknown workload(s): {', '.join(unknown)}; "
                        f"available: {', '.join(sorted(WORKLOADS))}")
 
-    results: Dict[str, Dict] = {}
-    if jobs == 1 or len(workloads) <= 1:
-        for name in workloads:
-            results[name] = _interfere_task(name, mode, scale, seed,
-                                            plan_json, factors_t)
-            notify(f"[done] {name}")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(workloads))) as pool:
-            futs = {pool.submit(_interfere_task, name, mode, scale, seed,
-                                plan_json, factors_t): name
-                    for name in workloads}
-            for fut in as_completed(futs):
-                name = futs[fut]
-                results[name] = fut.result()
-                notify(f"[done] {name}")
-
-    # Merge in task order (never completion order) so jobs=1 and jobs=N
-    # produce identical reports.
-    rows = [results[name] for name in workloads]
+    rows = fan_out(functools.partial(_interfere_task, mode_name=mode,
+                                     scale=scale, seed=seed,
+                                     plan_json=plan_json, factors=factors_t),
+                   workloads, jobs, notify=progress)
     return InterfereReport(plan=plan, mode=mode, scale=scale, seed=seed,
                            factors=factors_t, rows=rows)
 
@@ -330,7 +314,11 @@ def cli(argv: Optional[List[str]] = None) -> int:
         except (OSError, ValueError, KeyError) as exc:
             parser.error(f"cannot load plan {args.plan}: {exc}")
     else:
-        plan = HostTrafficPlan.generate(args.seed, intensity=args.intensity)
+        try:
+            plan = HostTrafficPlan.generate(args.seed,
+                                            intensity=args.intensity)
+        except ValueError as exc:
+            parser.error(f"--intensity: {exc}")
 
     from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK
 
@@ -349,14 +337,14 @@ def cli(argv: Optional[List[str]] = None) -> int:
         args.save_report.write_text(report.to_json(), encoding="utf-8")
         print(f"contention report -> {args.save_report}")
 
-    if args.check_determinism:
-        again = run_interfere(workloads, plan, mode=args.mode,
-                              scale=args.scale, seed=args.seed,
-                              factors=factors, jobs=2)
-        if again.to_json() != report.to_json():
-            print("ERROR: report differs between --jobs 1 and --jobs 2")
-            return EXIT_FAILURE
-        print("determinism check passed (jobs=1 == jobs=2)")
+    if args.check_determinism and not check_determinism(
+            report.to_json(),
+            lambda jobs: run_interfere(workloads, plan, mode=args.mode,
+                                       scale=args.scale, seed=args.seed,
+                                       factors=factors,
+                                       jobs=jobs).to_json(),
+            print):
+        return EXIT_FAILURE
     findings = report.int006_findings
     if findings:
         print(f"ERROR: {len(findings)} INT006 injection-model finding(s)")

@@ -2,8 +2,8 @@
 
 Lifecycle (mirrors :mod:`repro.faults.injector`):
 
-1. A caller opens ``with interfere_session(plan, task=...)``.  The
-   session becomes process-globally *active*.
+1. A caller opens ``with interfere_session(plan, task=...)``, which
+   pushes the session on the spine's stack (:mod:`repro.spine`).
 2. ``make_context`` (workloads/base.py) builds the :class:`Machine` and,
    if a session is active and the plan is non-empty, calls
    :meth:`InterferenceSession.attach` — creating an
@@ -33,8 +33,7 @@ under fault composition.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, ContextManager, Dict, List, Optional
 
 import numpy as np
 
@@ -45,13 +44,13 @@ from repro.interfere.plan import (
     HostTrafficPlan,
     burst_multiplier,
 )
+from repro.spine import scoped
 
 if TYPE_CHECKING:
     from repro.machine import Machine
     from repro.perf.stats import RunRecorder
 
-__all__ = ["InterferenceState", "InterferenceSession", "interfere_session",
-           "active_interference_session"]
+__all__ = ["InterferenceState", "InterferenceSession", "interfere_session"]
 
 #: Header-only host request payload (same figure the executor uses for
 #: indirect requests).
@@ -166,6 +165,8 @@ class InterferenceSession:
     """One plan, attachable to any number of machines (an intensity sweep
     builds several contexts; each gets its own state)."""
 
+    kind = "interfere"
+
     def __init__(self, plan: HostTrafficPlan, task: str = "") -> None:
         self.plan = plan
         self.task = task
@@ -187,26 +188,12 @@ class InterferenceSession:
         return state
 
 
-_ACTIVE: Optional[InterferenceSession] = None
-
-
-def active_interference_session() -> Optional[InterferenceSession]:
-    return _ACTIVE
-
-
-@contextmanager
 def interfere_session(plan: HostTrafficPlan,
-                      task: str = "") -> Iterator[InterferenceSession]:
+                      task: str = "") -> ContextManager[InterferenceSession]:
     """Make an interference session active for the block's dynamic extent.
 
     Machines built inside the block (via ``make_context``) get the plan
-    attached.  Sessions nest; the previous one is restored on exit.
+    attached.  Sessions nest on the spine's stack
+    (:func:`repro.spine.scoped`).
     """
-    global _ACTIVE
-    prev = _ACTIVE
-    session = InterferenceSession(plan, task)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = prev
+    return scoped(InterferenceSession(plan, task))

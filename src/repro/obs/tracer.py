@@ -13,9 +13,9 @@ at run end, when the per-phase cycle counts exist:
   order — deterministic, and faithful to ordering if not to exact
   sub-phase timing (which the model does not define).
 
-Sessions mirror :func:`~repro.relayout.engine.relayout_session`:
-``trace_session(cfg)`` installs a module-global session which
-``make_context`` attaches to each new machine (``machine.tracer``);
+``trace_session(cfg)`` pushes a session on the spine's stack
+(:mod:`repro.spine`), which ``make_context`` attaches to each new
+machine (``machine.tracer``);
 ``cfg=None`` is an explicit *off* session.  Every hook in the simulator
 is gated on ``machine.tracer is None``, so untraced runs execute the
 exact original instruction stream and stay byte-identical.
@@ -25,16 +25,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (MetricsRegistry, publish_alloc_stats,
                                publish_fault_state, publish_relayout_state,
                                publish_run)
+from repro.spine import scoped
 
 __all__ = ["SPAN_CATEGORIES", "TraceConfig", "TraceEvent", "TraceSession",
-           "TraceState", "active_trace_session", "trace_session"]
+           "TraceState", "trace_session"]
 
 #: The span/instant taxonomy (DESIGN.md §10).
 SPAN_CATEGORIES: Tuple[str, ...] = (
@@ -226,6 +226,8 @@ class TraceSession:
     mirroring :class:`~repro.relayout.engine.RelayoutSession`.
     """
 
+    kind = "trace"
+
     def __init__(self, cfg: Optional[TraceConfig], task: str = ""):
         self.cfg = cfg
         self.task = task
@@ -244,27 +246,12 @@ class TraceSession:
         return state
 
 
-_ACTIVE: Optional[TraceSession] = None
-
-
-def active_trace_session() -> Optional[TraceSession]:
-    return _ACTIVE
-
-
-@contextmanager
 def trace_session(cfg: Optional[TraceConfig],
-                  task: str = "") -> Iterator[TraceSession]:
-    """Scope a tracing session (mirror of ``relayout_session``).
+                  task: str = "") -> ContextManager[TraceSession]:
+    """Scope a tracing session on the spine's stack.
 
     Every machine built by ``make_context`` inside the scope gets a
     :class:`TraceState` attached; pass ``cfg=None`` to force-disable
     tracing inside an outer active session.
     """
-    global _ACTIVE
-    prev = _ACTIVE
-    session = TraceSession(cfg, task=task)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = prev
+    return scoped(TraceSession(cfg, task=task))

@@ -12,22 +12,18 @@ so the same call sites can run either
   scalar chain; see :mod:`repro.perf.kernels.pybackend` and DESIGN
   §12), scatter-based first-occurrence dedup, and bulk load recording;
   or
-* ``numba`` — ``@njit`` scalar loops executing the same arithmetic in
-  the same IEEE order (no fastmath, no contraction), compiled to native
-  code.  Optional: when the wheel is absent the registry falls back —
-  a *backend* fallback, never a silent numeric drift, because every
-  backend is bit-identical to :mod:`repro.perf.reference` by contract
-  (tests/test_kernels_equivalence.py); or
 * ``c`` — the two sequential Eq. 4 loops compiled from a shipped C
   source by the *system* compiler at first use (cached .so, loaded via
-  ctypes, ``-ffp-contract=off``).  Available wherever ``cc`` is, which
-  unlike the numba wheel includes this repo's reference container.
+  ctypes, ``-ffp-contract=off``).  Available wherever ``cc`` is; when
+  it is not, the registry falls back to ``python`` — a *backend*
+  fallback, never a silent numeric drift, because every backend is
+  bit-identical to :mod:`repro.perf.reference` by contract
+  (tests/test_kernels_equivalence.py).
 
-Selection: ``REPRO_KERNELS=python|numba|c|auto`` (default ``auto`` =
-numba when importable, else ``c`` when a compiler is present, else
-``python``), or :func:`set_backend` / ``--kernels`` on the bench and
-CLI entry points.  The numba import and the C compile are lazy: a
-process pinned to the python backend pays for neither.
+Selection: ``REPRO_KERNELS=python|c|auto`` (default ``auto`` = ``c``
+when a compiler is present, else ``python``), or :func:`set_backend` /
+``--kernels`` on the bench and CLI entry points.  The C compile is
+lazy: a process pinned to the python backend never pays for it.
 
 The backend surface every implementation must export:
 
@@ -47,8 +43,6 @@ The backend surface every implementation must export:
 
 from __future__ import annotations
 
-import importlib.metadata
-import importlib.util
 import os
 import warnings
 from types import ModuleType
@@ -65,17 +59,9 @@ __all__ = [
 ]
 
 #: Names accepted by :func:`set_backend` and ``REPRO_KERNELS``.
-BACKEND_CHOICES: Tuple[str, ...] = ("auto", "python", "numba", "c")
+BACKEND_CHOICES: Tuple[str, ...] = ("auto", "python", "c")
 
 _active: Optional[ModuleType] = None
-
-
-def _numba_importable() -> bool:
-    """Whether the numba wheel exists, without importing it."""
-    try:
-        return importlib.util.find_spec("numba") is not None
-    except (ImportError, ValueError):
-        return False
 
 
 def _c_available() -> bool:
@@ -89,22 +75,16 @@ def _c_available() -> bool:
 
 def available_backends() -> Tuple[str, ...]:
     """Backends that can actually execute in this interpreter."""
-    names = ["python"]
-    if _numba_importable():
-        names.append("numba")
-    if _c_available():
-        names.append("c")
-    return tuple(names)
+    return ("python", "c") if _c_available() else ("python",)
 
 
 def set_backend(name: str = "auto") -> str:
     """Select the active kernel backend; returns the resolved name.
 
-    ``auto`` resolves to ``numba`` when the wheel is importable, then
-    ``c`` when a system compiler can build the shipped kernels, else
-    ``python``.  Requesting an unavailable backend explicitly warns
-    and falls back to ``python`` — allocator results are bit-identical
-    either way, only throughput differs.
+    ``auto`` resolves to ``c`` when a system compiler can build the
+    shipped kernels, else ``python``.  Requesting ``c`` explicitly
+    without a compiler warns and falls back to ``python`` — allocator
+    results are bit-identical either way, only throughput differs.
     """
     global _active
     name = (name or "auto").lower()
@@ -112,22 +92,8 @@ def set_backend(name: str = "auto") -> str:
         raise ValueError(
             f"unknown kernel backend {name!r}; choose from {BACKEND_CHOICES}")
     if name == "auto":
-        if _numba_importable():
-            name = "numba"
-        elif _c_available():
-            name = "c"
-        else:
-            name = "python"
-    if name == "numba":
-        from repro.perf.kernels import nbbackend
-        if nbbackend.AVAILABLE:
-            _active = nbbackend
-            return _active.NAME
-        warnings.warn("kernel backend 'numba' requested but numba is not "
-                      "importable; falling back to the python backend "
-                      "(bit-identical results, lower throughput)",
-                      RuntimeWarning, stacklevel=2)
-    elif name == "c":
+        name = "c" if _c_available() else "python"
+    if name == "c":
         if _c_available():
             from repro.perf.kernels import cbackend
             _active = cbackend
@@ -151,18 +117,8 @@ def get_backend() -> ModuleType:
 
 def backend_info() -> Dict[str, Optional[str]]:
     """Attribution block for BENCH_*.json / RunResult metadata."""
-    numba_version: Optional[str] = None
-    if _numba_importable():
-        try:
-            numba_version = importlib.metadata.version("numba")
-        except Exception:
-            numba_version = "unknown"
     active = get_backend()
     cc: Optional[str] = None
     if active.NAME == "c":
         cc = getattr(active, "COMPILER", None)
-    return {
-        "kernels": active.NAME,
-        "numba": numba_version,
-        "cc": cc,
-    }
+    return {"kernels": active.NAME, "cc": cc}

@@ -1,8 +1,8 @@
 """Kernel backend compiled from C at first use (no wheel required).
 
-The container this repo targets ships a system C compiler but not
-numba, so depending on a compiled-extension *wheel* would be a new
-dependency while depending on ``cc`` is free: ``_ckernels.c`` (a page
+The container this repo targets ships a system C compiler, so
+depending on a compiled-extension *wheel* would be a new dependency
+while depending on ``cc`` is free: ``_ckernels.c`` (a page
 of scalar loops mirroring the numpy op chain statement by statement)
 is compiled once into a cached shared object and loaded through
 ctypes.  The build is keyed by a hash of the source and the compiler

@@ -55,8 +55,8 @@ class RunResult:
     #: Per-phase resource times (core/bank/link/serial), aligned with
     #: ``phase_cycles``; each phase's cycles is the max of its entries.
     phase_resources: List[Tuple[str, Dict[str, float]]] = field(default_factory=list)
-    #: Execution-environment attribution (kernel backend, numba/cc
-    #: versions).  Metadata only: deliberately excluded from figure rows
+    #: Execution-environment attribution (kernel backend, cc
+    #: version).  Metadata only: deliberately excluded from figure rows
     #: and the harness' ``run-<hash>.json`` so results stay byte-identical
     #: across backends — that byte-identity is what the equivalence suite
     #: asserts.

@@ -15,7 +15,7 @@ plan, serially or across a process pool.
 """
 
 from repro.relayout.engine import (RelayoutSession, RelayoutState,
-                                   active_relayout_session, relayout_session)
+                                   relayout_session)
 from repro.relayout.plan import Migration, MigrationKind, MigrationPlan
 from repro.relayout.policy import ArrayDrift, RelayoutConfig, Telemetry, decide
 
@@ -28,7 +28,6 @@ __all__ = [
     "RelayoutSession",
     "RelayoutState",
     "Telemetry",
-    "active_relayout_session",
     "decide",
     "relayout_session",
 ]

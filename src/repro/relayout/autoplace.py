@@ -18,19 +18,20 @@ the workers and merged in task order, never completion order.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from repro.relayout.plan import MigrationPlan
-from typing import TYPE_CHECKING
+from repro.relayout.policy import RelayoutConfig
+from repro.spine import check_determinism, fan_out
 
 if TYPE_CHECKING:
     from repro.relayout.engine import RelayoutState
-from repro.relayout.policy import RelayoutConfig
 
 __all__ = ["AutoplaceReport", "DEFAULT_SCENARIOS", "SCENARIOS",
            "run_autoplace", "cli"]
@@ -174,35 +175,18 @@ def run_autoplace(scenarios: Sequence[str],
                   progress: Optional[Callable[[str], None]] = None
                   ) -> AutoplaceReport:
     """Run static-vs-online pairs for every scenario under one config."""
-    notify = progress or (lambda line: None)
     cfg = cfg if cfg is not None else RelayoutConfig()
-    jobs = max(1, int(jobs))
     unknown = [s for s in scenarios if s not in SCENARIOS]
     if unknown:
         raise KeyError(f"unknown scenario(s): {', '.join(unknown)}; "
                        f"available: {', '.join(sorted(SCENARIOS))}")
 
-    results: Dict[str, Dict] = {}
-    if jobs == 1 or len(scenarios) <= 1:
-        for name in scenarios:
-            results[name] = _autoplace_task(name, scale, seed, cfg)
-            notify(f"[done] {name}")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(scenarios))) as pool:
-            futs = {pool.submit(_autoplace_task, name, scale, seed, cfg): name
-                    for name in scenarios}
-            for fut in as_completed(futs):
-                name = futs[fut]
-                results[name] = fut.result()
-                notify(f"[done] {name}")
-
-    # Merge in task order (never completion order) so jobs=1 and jobs=N
-    # produce identical reports and plans.
-    rows: List[Dict] = []
+    rows = fan_out(functools.partial(_autoplace_task, scale=scale,
+                                     seed=seed, cfg=cfg),
+                   scenarios, jobs, notify=progress)
+    # Rows arrive in task order, so the merged plan is jobs-independent.
     plan = MigrationPlan.empty(seed=cfg.seed, max_per_epoch=cfg.max_per_epoch)
-    for name in scenarios:
-        r = results[name]
-        rows.append(r)
+    for name, r in zip(scenarios, rows):
         plan = plan.merged_with(
             MigrationPlan.from_json(json.dumps(r["plan"])).retagged(name))
     return AutoplaceReport(config=cfg, scale=scale, seed=seed, rows=rows,
@@ -247,6 +231,9 @@ def cli(argv: Optional[List[str]] = None) -> int:
         parser.error(f"unknown scenario(s): {', '.join(bad)}; "
                      f"available: {', '.join(sorted(SCENARIOS))}")
     cfg = RelayoutConfig(seed=args.seed)
+    if args.max_per_epoch is not None and args.max_per_epoch < 0:
+        parser.error(f"--max-per-epoch must be non-negative, "
+                     f"got {args.max_per_epoch}")
     if args.max_per_epoch is not None:
         from dataclasses import replace
         cfg = replace(cfg, max_per_epoch=args.max_per_epoch)
@@ -261,13 +248,12 @@ def cli(argv: Optional[List[str]] = None) -> int:
         report.plan.save(args.save_plan)
         print(f"migration plan -> {args.save_plan}")
     from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK
-    if args.check_determinism:
-        again = run_autoplace(scenarios, cfg, scale=args.scale,
-                              seed=args.seed, jobs=2)
-        if again.to_json() != report.to_json():
-            print("ERROR: report differs between --jobs 1 and --jobs 2")
-            return EXIT_FAILURE
-        print("determinism check passed (jobs=1 == jobs=2)")
+    if args.check_determinism and not check_determinism(
+            report.to_json(),
+            lambda jobs: run_autoplace(scenarios, cfg, scale=args.scale,
+                                       seed=args.seed, jobs=jobs).to_json(),
+            print):
+        return EXIT_FAILURE
     if args.min_recovery > 0.0 and report.best_recovered < args.min_recovery:
         print(f"ERROR: best recovered speedup {report.best_recovered:.3f}x "
               f"below required {args.min_recovery:.3f}x")

@@ -15,20 +15,19 @@ the executor streams drift observations into the machine's attached
 5. records every decision — applied or skipped — in a
    :class:`~repro.relayout.plan.MigrationPlan`.
 
-Sessions mirror the chaos layer's :func:`~repro.faults.fault_session`:
-``relayout_session(cfg)`` installs a module-global session which
-``make_context`` attaches to each new machine; ``cfg=None`` is an
-explicit *off* session (attach no-ops), which nested static arms use to
-stay static under an outer ``run_figures(relayout=...)``.
+``relayout_session(cfg)`` pushes a session on the spine's stack
+(:mod:`repro.spine`), which ``make_context`` attaches to each new
+machine; ``cfg=None`` is an explicit *off* session (attach no-ops),
+which nested static arms use to stay static under an outer
+``run_figures(relayout=...)``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import (
     TYPE_CHECKING,
+    ContextManager,
     Dict,
-    Iterator,
     List,
     Optional,
     Tuple,
@@ -41,14 +40,14 @@ from repro.core.affine import LayoutKind
 from repro.relayout.plan import Migration, MigrationKind, MigrationPlan
 from repro.relayout.policy import (ArrayDrift, Decision, RelayoutConfig,
                                    Telemetry, decide)
+from repro.spine import scoped
 
 if TYPE_CHECKING:
     from repro.core.api import ArrayHandle
     from repro.machine import Machine
     from repro.perf.stats import PhaseStats, RunRecorder
 
-__all__ = ["RelayoutSession", "RelayoutState", "active_relayout_session",
-           "relayout_session"]
+__all__ = ["RelayoutSession", "RelayoutState", "relayout_session"]
 
 
 class RelayoutState:
@@ -350,15 +349,13 @@ class RelayoutSession:
     outer active session exists (nested sessions shadow outer ones).
     """
 
+    kind = "relayout"
+
     def __init__(self, cfg: Optional[RelayoutConfig],
                  task: str = "") -> None:
         self.cfg = cfg
         self.task = task
         self.states: List[RelayoutState] = []
-
-    @property
-    def active(self) -> bool:
-        return self.cfg is not None
 
     def attach(self, machine: Machine) -> Optional[RelayoutState]:
         if self.cfg is None:
@@ -377,27 +374,12 @@ class RelayoutSession:
         return plan
 
 
-_ACTIVE: Optional[RelayoutSession] = None
-
-
-def active_relayout_session() -> Optional[RelayoutSession]:
-    return _ACTIVE
-
-
-@contextmanager
 def relayout_session(cfg: Optional[RelayoutConfig],
-                     task: str = "") -> Iterator[RelayoutSession]:
-    """Scope an online re-layout session (mirror of ``fault_session``).
+                     task: str = "") -> ContextManager[RelayoutSession]:
+    """Scope an online re-layout session on the spine's stack.
 
     Every machine built by ``make_context`` inside the scope gets a
     :class:`RelayoutState` attached; pass ``cfg=None`` to force-disable
     relayout inside an outer active session (the static arm's tool).
     """
-    global _ACTIVE
-    prev = _ACTIVE
-    session = RelayoutSession(cfg, task=task)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = prev
+    return scoped(RelayoutSession(cfg, task=task))

@@ -202,3 +202,12 @@ class TestRunnerFaultPlan:
         with pytest.raises(WorkerCrashError):
             runner.run_figures(self.IDS, jobs=1, scale=self.SCALE, seed=0,
                                use_cache=False, fault_plan=plan)
+
+
+class TestChaosCliUsage:
+    def test_negative_rate_is_usage_error(self):
+        from repro.faults.chaos import cli as chaos_cli
+        from repro.harness.cliutil import EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            chaos_cli(["vecadd", "--rate", "-1"])
+        assert exc.value.code == EXIT_USAGE

@@ -60,6 +60,11 @@ class TestInterfereCli:
             interfere_cli(["vecadd", "--sweep", "1,-2"])
         assert exc.value.code == EXIT_USAGE
 
+    def test_negative_intensity_is_usage_error(self):
+        with pytest.raises(SystemExit) as exc:
+            interfere_cli(["vecadd", "--intensity", "-3"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_unmet_min_slowdown_is_check_failure(self):
         assert interfere_cli(["vecadd", "--scale", "0.05", "--sweep",
                               "0.001", "--min-slowdown", "10"]) \

@@ -1,18 +1,17 @@
 """Kernel backends vs. the scalar Eq. 4 oracle — bit-identical, always.
 
 PR 8's contract: every compute backend (``python`` division-table,
-``numba`` njit loops, ``c`` ctypes kernels) executes the same arithmetic
+``c`` ctypes kernels) executes the same arithmetic
 in the same IEEE order as the pre-PR scalar loop, so goldens and
 ``run-<hash>.json`` never move when the backend changes.  The oracle
 here is an *independent* re-statement of that scalar chain (not a call
 into the shipped code), and every assertion is ``array_equal`` on exact
 bit values — never ``allclose``.
 
-Backends that cannot run in this interpreter (no numba wheel, no system
-C compiler) skip cleanly; the python backend always runs.
+Backends that cannot run in this interpreter (no system C compiler)
+skip cleanly; the python backend always runs.
 """
 
-import importlib.util
 import json
 
 import numpy as np
@@ -29,11 +28,6 @@ from repro.perf.kernels import pybackend
 # ----------------------------------------------------------------------
 def _backend_params():
     params = [pytest.param("python", id="python")]
-    have_numba = importlib.util.find_spec("numba") is not None
-    params.append(pytest.param(
-        "numba", id="numba",
-        marks=pytest.mark.skipif(not have_numba,
-                                 reason="numba wheel not installed")))
     params.append(pytest.param(
         "c", id="c",
         marks=pytest.mark.skipif(not kernels._c_available(),
@@ -47,9 +41,6 @@ BACKENDS = _backend_params()
 def _module(name):
     if name == "python":
         return pybackend
-    if name == "numba":
-        from repro.perf.kernels import nbbackend
-        return nbbackend
     from repro.perf.kernels import cbackend
     return cbackend
 
@@ -381,22 +372,23 @@ class TestBackendRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
             kernels.set_backend("fortran")
+        with pytest.raises(ValueError, match="unknown kernel backend"):
+            kernels.set_backend("numba")
 
-    def test_unavailable_backend_warns_and_falls_back(self):
+    def test_unavailable_backend_warns_and_falls_back(self, monkeypatch):
         before = kernels.get_backend().NAME
         try:
-            if importlib.util.find_spec("numba") is None:
-                with pytest.warns(RuntimeWarning, match="numba"):
-                    assert kernels.set_backend("numba") == "python"
-            else:
-                assert kernels.set_backend("numba") == "numba"
+            monkeypatch.setattr(kernels, "_c_available", lambda: False)
+            with pytest.warns(RuntimeWarning, match="'c' requested"):
+                assert kernels.set_backend("c") == "python"
         finally:
+            monkeypatch.undo()
             kernels.set_backend(before)
 
     def test_backend_info_shape(self):
         info = kernels.backend_info()
-        assert set(info) == {"kernels", "numba", "cc"}
-        assert info["kernels"] in ("python", "numba", "c")
+        assert set(info) == {"kernels", "cc"}
+        assert info["kernels"] in ("python", "c")
 
 
 # ----------------------------------------------------------------------

@@ -117,3 +117,12 @@ class TestCanonicalPlan:
                 per_epoch[key] = per_epoch.get(key, 0) + 1
         assert per_epoch  # something migrated
         assert max(per_epoch.values()) <= plan.max_per_epoch
+
+
+class TestAutoplaceCliUsage:
+    def test_negative_max_per_epoch_is_usage_error(self):
+        from repro.harness.cliutil import EXIT_USAGE
+        from repro.relayout.autoplace import cli as autoplace_cli
+        with pytest.raises(SystemExit) as exc:
+            autoplace_cli(["stream_flip", "--max-per-epoch", "-1"])
+        assert exc.value.code == EXIT_USAGE
