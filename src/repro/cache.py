@@ -23,9 +23,16 @@ Knobs (all optional):
 * :meth:`ArtifactCache.disabled` / ``configure(enabled=False)`` — the
   programmatic / ``--no-cache`` escape hatch.
 
-Corrupted entries (truncated ``.npz`` after a crash, hand-edited JSON)
-are treated as misses: the entry is deleted and regenerated, never
-raised to the caller.
+``.npz`` entries are written uncompressed (``np.savez``): zlib cost a
+cold run more time than its graphs took to generate, for a few MB of
+disk.  Integrity comes from the zip format's per-member CRC-32, which
+``np.load`` checks as it reads, so a flipped payload byte still fails
+the read.  Entries written compressed by older versions load the same
+way and stay valid under their keys.
+
+Corrupted entries (truncated ``.npz`` after a crash, a flipped byte,
+hand-edited JSON) are treated as misses: the entry is deleted and
+regenerated, never raised to the caller.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ DEFAULT_MAX_BYTES = 2 << 30  # 2 GiB
 #: In-process memo over the hottest ``.npz`` entries.  Keys are content
 #: addresses, so one key can only ever name one payload — serving from
 #: memory is exactly as correct as re-reading the file, minus the
-#: zipfile + zlib decompress the profile charges every graph reload.
+#: zipfile read and CRC-32 pass every graph reload would otherwise pay.
 DEFAULT_MEM_BYTES = 256 << 20  # 256 MiB
 
 
@@ -197,7 +204,7 @@ class ArtifactCache:
         if not self.enabled:
             return
         path = self.path_for(key, ".npz")
-        self._atomic_write(path, lambda fh: np.savez_compressed(fh, **arrays))
+        self._atomic_write(path, lambda fh: np.savez(fh, **arrays))
         self.evict()
 
     # ----------------------------- json -------------------------------

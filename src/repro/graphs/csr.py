@@ -97,16 +97,21 @@ class CSRGraph:
             src, dst = src[keep], dst[keep]
             if weights is not None:
                 weights = weights[keep]
+        if src.size and (src.min() < 0 or src.max() >= num_vertices):
+            raise ValueError("edge endpoint out of range")
         # Sort by (src, dst): adjacency lists sorted by neighbor id is the
         # "common practice" the paper's degree-sensitivity study (§7.2)
         # relies on — consecutive edges of a vertex point to nearby ids.
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
+        # With dst in [0, V) one stable argsort of src*V+dst orders exactly
+        # like a stable lexsort on (src, dst): duplicate edges keep their
+        # input (and weight) order.  An out-of-range dst only garbles the
+        # order of a graph that __post_init__ then rejects.
+        order = np.argsort(src * num_vertices + dst, kind="stable")
+        dst = dst[order]
         if weights is not None:
             weights = np.asarray(weights)[order]
         index = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.add.at(index, src + 1, 1)
-        np.cumsum(index, out=index)
+        np.cumsum(np.bincount(src, minlength=num_vertices), out=index[1:])
         return cls(index, dst.astype(np.int32), weights)
 
     def transpose(self) -> "CSRGraph":

@@ -38,6 +38,7 @@ __all__ = [
     "chained_hybrid_reference",
     "first_unique_reference",
     "first_unique_counts_reference",
+    "from_edge_list_reference",
     "reference_impls",
 ]
 
@@ -233,6 +234,40 @@ def first_unique_counts_reference(key: np.ndarray):
 
 
 # ----------------------------------------------------------------------
+# CSR build (original: lexsort + np.add.at)
+# ----------------------------------------------------------------------
+def from_edge_list_reference(cls, num_vertices: int, src: np.ndarray,
+                             dst: np.ndarray, weights=None,
+                             remove_self_loops: bool = True,
+                             symmetrize: bool = False):
+    """Original body of :meth:`repro.graphs.csr.CSRGraph.from_edge_list`
+    (two-key lexsort, ``np.add.at`` degree count).  It predates the
+    source range check, so it is only defined on in-range inputs."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    if symmetrize:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        if weights is not None:
+            weights = np.concatenate([weights, weights])
+    if remove_self_loops:
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        if weights is not None:
+            weights = weights[keep]
+    # Sort by (src, dst): adjacency lists sorted by neighbor id is the
+    # "common practice" the paper's degree-sensitivity study (§7.2)
+    # relies on — consecutive edges of a vertex point to nearby ids.
+    order = np.lexsort((dst, src))
+    src, dst = src[order], dst[order]
+    if weights is not None:
+        weights = np.asarray(weights)[order]
+    index = np.zeros(num_vertices + 1, dtype=np.int64)
+    np.add.at(index, src + 1, 1)
+    np.cumsum(index, out=index)
+    return cls(index, dst.astype(np.int32), weights)
+
+
+# ----------------------------------------------------------------------
 # Before/after switchyard
 # ----------------------------------------------------------------------
 @contextmanager
@@ -249,6 +284,7 @@ def reference_impls():
     from repro.arch import noc as noc_mod
     from repro.core import policy as policy_mod
     from repro.core import runtime as runtime_mod
+    from repro.graphs import csr as csr_mod
     from repro.nsc import executor as executor_mod
     from repro.perf import model as model_mod
     from repro.vm import layout as layout_mod
@@ -315,6 +351,8 @@ def reference_impls():
         (executor_mod, "_first_unique", executor_mod._first_unique),
         (executor_mod, "_first_unique_counts",
          executor_mod._first_unique_counts),
+        (csr_mod.CSRGraph, "from_edge_list",
+         csr_mod.CSRGraph.__dict__["from_edge_list"]),
     ]
     try:
         noc_mod.pair_channel_loads = pair_channel_loads_reference
@@ -331,6 +369,7 @@ def reference_impls():
         runtime_mod.AffinityAllocator._chained_hybrid = _chained_hybrid_compat
         executor_mod._first_unique = first_unique_reference
         executor_mod._first_unique_counts = first_unique_counts_reference
+        csr_mod.CSRGraph.from_edge_list = classmethod(from_edge_list_reference)
         yield
     finally:
         for obj, name, orig in saved:

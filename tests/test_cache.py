@@ -106,6 +106,30 @@ class TestCorruptionRecovery:
         assert cache.get_arrays(key) is None      # miss, not a crash
         assert not path.exists()                  # bad entry dropped
 
+    def test_flipped_payload_byte_is_a_miss(self, cache):
+        # Entries are stored uncompressed; the zip CRC-32 of each member
+        # is what catches a corrupted payload.
+        key = cache_key("t", x=5)
+        cache.put_arrays(key, {"edges": np.arange(1 << 12, dtype=np.int32)})
+        path = cache.path_for(key, ".npz")
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF  # inside the array data
+        path.write_bytes(bytes(data))
+        assert cache.get_arrays(key) is None
+        assert not path.exists()
+
+    def test_compressed_entry_still_loads(self, cache):
+        # Caches written before entries were stored uncompressed stay valid.
+        key = cache_key("t", x=6)
+        cache.root.mkdir(parents=True, exist_ok=True)
+        with open(cache.path_for(key, ".npz"), "wb") as fh:
+            np.savez_compressed(fh, index=np.array([0, 1]),
+                                edges=np.array([0]))
+        out = cache.get_arrays(key)
+        assert out is not None and cache.hits == 1
+        assert out["index"].tolist() == [0, 1]
+        assert out["edges"].tolist() == [0]
+
     def test_garbage_json_regenerates(self, cache):
         key = cache_key("m", x=4)
         cache.put_json(key, {"ok": True})

@@ -63,6 +63,12 @@ class TestCSR:
             CSRGraph(np.array([0, 2]), np.array([5]))  # index end mismatch
         with pytest.raises(ValueError):
             CSRGraph(np.array([0, 1]), np.array([7]))  # endpoint range
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            CSRGraph.from_edge_list(4, np.array([-2, 0, 1]),
+                                    np.array([1, 2, 3]))  # negative source
+        with pytest.raises(ValueError, match="endpoint out of range"):
+            CSRGraph.from_edge_list(4, np.array([4, 0, 1]),
+                                    np.array([1, 2, 3]))  # source == V
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 50), st.integers(0, 200), st.integers(0, 1000))

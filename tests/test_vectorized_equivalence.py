@@ -14,6 +14,7 @@ from repro.arch.iot import InterleaveOverrideTable, IotEntry
 from repro.arch.mesh import Mesh
 from repro.arch.noc import MessageClass, TrafficAccountant, pair_channel_loads
 from repro.config import DEFAULT_CONFIG
+from repro.graphs.csr import CSRGraph
 from repro.machine import Machine
 from repro.nsc.executor import (_consecutive_dedup, _first_unique,
                                 _first_unique_counts, _pair_key, _shrink_key)
@@ -280,3 +281,66 @@ class TestConsecutiveDedupEdgeCases:
         mask = _consecutive_dedup(np.array([1, 1, 1, 1]),
                                   np.array([0, 0, 1, 1]))
         assert mask.tolist() == [True, False, True, False]
+
+
+# ----------------------------------------------------------------------
+# CSR build: composite-key argsort vs. the original lexsort
+# ----------------------------------------------------------------------
+class TestFromEdgeListEquivalence:
+    @staticmethod
+    def _check(nv, src, dst, weights, **kw):
+        got = CSRGraph.from_edge_list(nv, src, dst, weights, **kw)
+        want = ref.from_edge_list_reference(CSRGraph, nv, src, dst,
+                                            weights, **kw)
+        assert np.array_equal(got.index, want.index)
+        assert np.array_equal(got.edges, want.edges)
+        if weights is None:
+            assert got.weights is None and want.weights is None
+        else:
+            assert np.array_equal(got.weights, want.weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), remove_self_loops=st.booleans(),
+           symmetrize=st.booleans(), weighted=st.booleans())
+    def test_matches_reference(self, data, remove_self_loops, symmetrize,
+                               weighted):
+        nv = data.draw(st.integers(1, 40))
+        # A narrow id range leaves the top vertices isolated and makes
+        # duplicate (src, dst) pairs and self-loops common.
+        hi = data.draw(st.integers(0, nv - 1))
+        k = data.draw(st.integers(0, 150))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        src = rng.integers(0, hi + 1, size=k)
+        dst = rng.integers(0, hi + 1, size=k)
+        # Distinct weights: a tie broken differently would show.
+        weights = rng.permutation(k).astype(np.float64) if weighted else None
+        self._check(nv, src, dst, weights,
+                    remove_self_loops=remove_self_loops,
+                    symmetrize=symmetrize)
+
+    def test_duplicates_keep_weight_order(self):
+        src = np.array([1, 0, 1, 1, 0])
+        dst = np.array([2, 1, 2, 0, 1])
+        w = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
+        self._check(3, src, dst, w)
+        g = CSRGraph.from_edge_list(3, src, dst, w)
+        assert g.weights.tolist() == [20.0, 50.0, 40.0, 10.0, 30.0]
+
+    @pytest.mark.parametrize("remove_self_loops", [True, False])
+    def test_self_loops(self, remove_self_loops):
+        src = np.array([0, 1, 1, 2])
+        dst = np.array([0, 1, 2, 2])
+        self._check(3, src, dst, np.arange(4.0),
+                    remove_self_loops=remove_self_loops)
+
+    def test_empty_edge_list(self):
+        empty = np.empty(0, dtype=np.int64)
+        self._check(5, empty, empty, None)
+        self._check(0, empty, empty, None)
+
+    def test_isolated_trailing_vertices(self):
+        self._check(10, np.array([0, 1]), np.array([1, 0]), None,
+                    symmetrize=True)
+        assert CSRGraph.from_edge_list(
+            10, np.array([0, 1]), np.array([1, 0])).index.tolist() == \
+            [0, 1, 2] + [2] * 8
