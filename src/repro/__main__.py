@@ -39,11 +39,9 @@ import sys
 import time
 
 from repro.harness import runner
+from repro.harness.cliutil import add_run_arguments
 from repro.nsc.engine import EngineMode
 from repro.workloads import WORKLOADS, run_workload
-
-#: Backwards-compatible alias — the registry now lives in the runner.
-EXPERIMENTS = runner.EXPERIMENTS
 
 
 def main(argv=None) -> int:
@@ -80,18 +78,12 @@ def main(argv=None) -> int:
                              "abl_*, table1..table4), a comma-separated list "
                              "of ids, or 'run' for a single workload")
     parser.add_argument("workload", nargs="?", help="workload name for 'run'")
-    parser.add_argument("--scale", type=float, default=0.12,
-                        help="fraction of Table 3 input sizes (default 0.12)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="base RNG seed threaded through experiments")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for experiments (default 1)")
+    add_run_arguments(parser, scale=0.12, jobs=("--jobs", "-j"),
+                      mode="value")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the content-addressed artifact cache")
     parser.add_argument("--results-dir", default="results",
                         help="where run-<hash>.json lands (default results/)")
-    parser.add_argument("--mode", default="Aff-Alloc",
-                        choices=[m.value for m in EngineMode])
     parser.add_argument("--no-lint", action="store_true",
                         help="skip the afflint pre-flight over workload "
                              "layout plans")

@@ -326,9 +326,6 @@ def cli(argv: Optional[List[str]] = None) -> int:
                         help="output encoding (default text); json is "
                              "the stable afflint-diagnostics/1 schema, "
                              "github emits workflow-command annotations")
-    parser.add_argument("--scale", type=float, default=0.12,
-                        help="workload scale for plan linting "
-                             "(default 0.12)")
     parser.add_argument("--expect-findings", action="store_true",
                         help="invert the exit code: succeed only if "
                              "findings were reported (CI fixture check)")
@@ -342,10 +339,10 @@ def cli(argv: Optional[List[str]] = None) -> int:
                              "from python -m repro autoplace --save-plan) "
                              "into RLY diagnostics; exits nonzero on "
                              "unsafe migrations (RLY001/RLY004)")
-    from repro.harness.cliutil import add_seed_argument
-    add_seed_argument(parser, help_suffix="accepted for CLI uniformity; "
-                                          "layout linting is "
-                                          "seed-independent")
+    from repro.harness.cliutil import add_run_arguments, load_input
+    add_run_arguments(parser, scale=0.12, jobs=(),
+                      seed_help="accepted for CLI uniformity; layout "
+                                "linting is seed-independent")
     args = parser.parse_args(argv)
     from repro.analysis.format import render_report
 
@@ -365,7 +362,8 @@ def cli(argv: Optional[List[str]] = None) -> int:
 
     if args.fault_log is not None:
         from repro.faults.log import FaultEventLog
-        report = FaultEventLog.load(args.fault_log).to_diagnostics()
+        report = load_input(parser, args.fault_log, "fault log",
+                            FaultEventLog.load).to_diagnostics()
         print(render_report(report, args.format))
         if args.expect_findings:
             return 0 if report.has_findings else 1
@@ -373,7 +371,8 @@ def cli(argv: Optional[List[str]] = None) -> int:
 
     if args.migration_plan is not None:
         from repro.relayout.plan import MigrationPlan
-        plan = MigrationPlan.load(args.migration_plan)
+        plan = load_input(parser, args.migration_plan, "migration plan",
+                          MigrationPlan.load)
         report = plan.to_diagnostics(DEFAULT_CONFIG.num_banks)
         print(render_report(report, args.format))
         if args.expect_findings:

@@ -174,11 +174,6 @@ class InterleaveOverrideTable:
             self._remap = np.arange(self.num_banks, dtype=np.int64)
         self._remap[self._remap == bank] = replacement
 
-    @property
-    def bank_remap(self) -> Optional[np.ndarray]:
-        """The active remap vector (read-only view), or None when healthy."""
-        return None if self._remap is None else self._remap.copy()
-
     def remap_banks(self, banks: np.ndarray) -> np.ndarray:
         """Apply the active bank remap to explicit bank ids.
 
@@ -197,10 +192,6 @@ class InterleaveOverrideTable:
     # ------------------------------------------------------------------
     # Migration overrides (online re-layout)
     # ------------------------------------------------------------------
-    @property
-    def migration_entries(self) -> List[MigrationEntry]:
-        return list(self._mig)
-
     def install_migration(self, entry: MigrationEntry) -> None:
         """Install (or replace) a migration override.
 
@@ -221,9 +212,6 @@ class InterleaveOverrideTable:
             raise RuntimeError(
                 f"migration table full ({self.migration_capacity} entries)")
         self._mig.append(entry)
-
-    def clear_migrations(self) -> None:
-        self._mig.clear()
 
     def swap_banks(self, a: int, b: int) -> None:
         """Swap every future lookup of banks ``a`` and ``b``.

@@ -23,8 +23,7 @@ Message classes follow the paper's figure legends:
 from __future__ import annotations
 
 import enum
-import math
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -217,16 +216,6 @@ class TrafficAccountant:
     def link_loads(self) -> np.ndarray:
         """Per-channel flit load (links + inject/eject ports, all classes)."""
         return self._channel_loads().copy()
-
-    def eject_loads(self) -> np.ndarray:
-        """Per-tile ejection-port flit load (all classes).
-
-        Slot ``b`` is the flits funneling into tile/bank ``b``'s single
-        ejection channel — the per-bank bandwidth figure the interference
-        analysis compares against injected host traffic.
-        """
-        n = self.mesh.num_tiles
-        return self._channel_loads()[self.mesh.num_links + n:].copy()
 
     def max_link_load(self) -> float:
         """Flits on the most-loaded directed link (the NoC bottleneck)."""

@@ -15,9 +15,8 @@ from the owning pool, exactly as §5.1 describes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -739,6 +738,3 @@ class AffinityAllocator:
     # ------------------------------------------------------------------
     def record_of(self, vaddr: int) -> Optional[_AffineRecord]:
         return self._records.get(vaddr)
-
-    def live_irregular(self) -> float:
-        return self.load.total

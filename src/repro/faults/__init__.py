@@ -7,9 +7,9 @@ The subsystem has four parts:
 * :mod:`repro.faults.log` — the typed :class:`FaultEventLog` every
   injected/handled fault is recorded into (replayable by tests and
   afflint).
-* :mod:`repro.faults.injector` — the active :class:`FaultSession` /
-  per-machine :class:`FaultState` that applies the plan and drives each
-  layer's degradation path.
+* :mod:`repro.faults.injector` — the :func:`fault_session` preset and
+  the per-machine :class:`FaultState` that applies the plan and drives
+  each layer's degradation path.
 * :mod:`repro.faults.chaos` — the ``python -m repro chaos`` runner that
   executes clean-vs-faulted pairs and emits the degradation report.
 
@@ -20,7 +20,7 @@ byte-identical to a tree without this package.
 
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.injector import FaultSession, FaultState, fault_session
+from repro.faults.injector import FaultState, fault_session
 
 __all__ = [
     "FaultKind",
@@ -28,7 +28,6 @@ __all__ = [
     "FaultPlan",
     "FaultRecord",
     "FaultEventLog",
-    "FaultSession",
     "FaultState",
     "fault_session",
 ]

@@ -74,7 +74,8 @@ def _chaos_task(name: str, mode_name: str, scale: float, seed: int,
     with fault_session(plan, log, task=name) as session, \
             interfere_session(host, task=name) as interference:
         faulted = run_workload(name, mode, scale=scale, seed=seed)
-        session.finalize()
+        for state in session.states:
+            state.finalize()
         retries = sum(s.retries for s in session.states)
         host_fb = sum(s.host_fallbacks for s in session.states)
 
@@ -214,6 +215,8 @@ def run_chaos(workloads: Sequence[str], plan: FaultPlan,
 # CLI
 # ----------------------------------------------------------------------
 def cli(argv: Optional[List[str]] = None) -> int:
+    from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK,
+                                       add_run_arguments, load_input)
     parser = argparse.ArgumentParser(
         prog="python -m repro chaos",
         description="Deterministic fault injection: run workloads under a "
@@ -227,18 +230,11 @@ def cli(argv: Optional[List[str]] = None) -> int:
                         help="JSON host-traffic plan to compose into the "
                              "faulted arms (see 'python -m repro interfere "
                              "--save-plan')")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="plan-generation / run seed (default 0)")
+    add_run_arguments(parser, scale=0.05, mode="name",
+                      seed_help="plan generation and runs")
     parser.add_argument("--rate", type=float, default=0.05,
                         help="per-resource fault probability for generated "
                              "plans (default 0.05)")
-    parser.add_argument("--mode", default="AFF_ALLOC",
-                        choices=["IN_CORE", "NEAR_L3", "AFF_ALLOC"],
-                        help="engine mode for the runs (default AFF_ALLOC)")
-    parser.add_argument("--scale", type=float, default=0.05,
-                        help="workload scale (default 0.05)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1)")
     parser.add_argument("--save-log", type=Path, default=None,
                         help="write the fault event log JSON here")
     parser.add_argument("--save-report", type=Path, default=None,
@@ -251,13 +247,8 @@ def cli(argv: Optional[List[str]] = None) -> int:
     if bad:
         parser.error(f"unknown workload(s): {', '.join(bad)}; "
                      f"try 'python -m repro list'")
-    # Unreadable/invalid plan files are *usage* errors (exit 2, argparse
-    # convention), not check failures — parser.error both halves.
     if args.plan is not None:
-        try:
-            plan = FaultPlan.load(args.plan)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load fault plan {args.plan}: {exc}")
+        plan = load_input(parser, args.plan, "fault plan", FaultPlan.load)
     else:
         try:
             plan = FaultPlan.generate(args.seed, args.rate,
@@ -267,11 +258,8 @@ def cli(argv: Optional[List[str]] = None) -> int:
     interfere = None
     if args.interfere is not None:
         from repro.interfere.plan import HostTrafficPlan
-        try:
-            interfere = HostTrafficPlan.load(args.interfere)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load host-traffic plan "
-                         f"{args.interfere}: {exc}")
+        interfere = load_input(parser, args.interfere, "host-traffic plan",
+                               HostTrafficPlan.load)
 
     report = run_chaos(workloads, plan, mode=args.mode, scale=args.scale,
                        seed=args.seed, jobs=args.jobs, progress=print,
@@ -283,7 +271,6 @@ def cli(argv: Optional[List[str]] = None) -> int:
     if args.save_report is not None:
         args.save_report.write_text(report.to_json(), encoding="utf-8")
         print(f"degradation report -> {args.save_report}")
-    from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK
     if report.unhandled_count:
         print(f"ERROR: {report.unhandled_count} unhandled fault event(s)")
         return EXIT_FAILURE

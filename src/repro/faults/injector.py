@@ -5,8 +5,9 @@ Lifecycle:
 1. A caller opens ``with fault_session(plan, log, task=...)``, which
    pushes the session on the spine's stack (:mod:`repro.spine`).
 2. ``make_context`` (workloads/base.py) builds the :class:`Machine` and,
-   if a session is active, calls :meth:`FaultSession.attach` — creating a
-   :class:`FaultState` bound to that machine (``machine.faults``).
+   if a session is active, attaches it (:meth:`repro.spine.Session.attach`)
+   — creating a :class:`FaultState` bound to that machine
+   (``machine.faults``).
 3. Boot-phase events apply immediately at attach (pool caps, armed alloc
    ordinals, ``phase="boot"`` bank/link failures).  Run-phase bank/link
    failures are deferred until the executor issues its first primitive
@@ -24,6 +25,7 @@ runs produce identical logs (a property the chaos suite pins).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     ContextManager,
@@ -39,26 +41,26 @@ import numpy as np
 from repro.analysis.diagnostics import TopologyError
 from repro.faults.log import FaultEventLog, FaultRecord
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.spine import scoped
+from repro.spine import Session, scoped
 
 if TYPE_CHECKING:
     from repro.machine import Machine
     from repro.perf.stats import RunRecorder
 
-__all__ = ["FaultState", "FaultSession", "fault_session"]
+__all__ = ["FaultState", "fault_session"]
 
 
 class FaultState:
     """Per-machine fault state: healthy mask, armed events, degradation
-    bookkeeping.  Created by :meth:`FaultSession.attach`; reachable from
-    every layer as ``machine.faults``."""
+    bookkeeping.  Created when a :func:`fault_session` attaches; reachable
+    from every layer as ``machine.faults``."""
 
     #: Bounded exponential backoff charged (serial cycles, all cores)
     #: each time an offloaded stream must retry or abandon an offload.
     RETRY_BACKOFF_CYCLES = (64.0, 128.0, 256.0)
 
-    def __init__(self, plan: FaultPlan, log: FaultEventLog,
-                 machine: Machine, task: str = "") -> None:
+    def __init__(self, plan: FaultPlan, machine: Machine, task: str,
+                 log: FaultEventLog) -> None:
         self.plan = plan
         self.log = log
         self.task = task
@@ -279,36 +281,14 @@ class FaultState:
                           f"never reached the cap of {ev.param}")
 
 
-class FaultSession:
-    """One plan + log, attachable to any number of machines (a chaos task
-    may build several contexts; they share the log)."""
-
-    kind = "faults"
-
-    def __init__(self, plan: FaultPlan, log: Optional[FaultEventLog] = None,
-                 task: str = "") -> None:
-        self.plan = plan
-        self.log = log if log is not None else FaultEventLog()
-        self.task = task
-        self.states: List[FaultState] = []
-
-    def attach(self, machine: Machine) -> FaultState:
-        state = FaultState(self.plan, self.log, machine, self.task)
-        machine.faults = state
-        self.states.append(state)
-        return state
-
-    def finalize(self) -> None:
-        for state in self.states:
-            state.finalize()
-
-
 def fault_session(plan: FaultPlan, log: Optional[FaultEventLog] = None,
-                  task: str = "") -> ContextManager[FaultSession]:
+                  task: str = "") -> ContextManager[Session]:
     """Make a fault session active for the dynamic extent of the block.
 
     Machines built inside the block (via ``make_context``) get the plan
-    attached.  Sessions nest on the spine's stack
-    (:func:`repro.spine.scoped`).
+    attached; every machine's :class:`FaultState` writes to the one
+    ``log`` (a chaos task may build several contexts).  Sessions nest on
+    the spine's stack (:func:`repro.spine.scoped`).
     """
-    return scoped(FaultSession(plan, log, task))
+    log = log if log is not None else FaultEventLog()
+    return scoped(Session("faults", plan, task, partial(FaultState, log=log)))

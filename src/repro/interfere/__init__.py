@@ -22,7 +22,6 @@ from repro.interfere.plan import (
     predict_host_injection,
 )
 from repro.interfere.engine import (
-    InterferenceSession,
     InterferenceState,
     interfere_session,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "HostTrafficPlan",
     "burst_multiplier",
     "predict_host_injection",
-    "InterferenceSession",
     "InterferenceState",
     "interfere_session",
 ]

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -86,7 +87,7 @@ def _interfere_task(name: str, mode_name: str, scale: float, seed: int,
     if mode is EngineMode.AFF_ALLOC and factors:
         # Recovery arm: the heaviest contention composed with online
         # re-layout — how much of the penalty does migration claw back?
-        from repro.relayout.engine import relayout_session
+        from repro.relayout.engine import merged_plan, relayout_session
         from repro.relayout.policy import RelayoutConfig
         fmax = max(factors)
         cfg = RelayoutConfig(seed=seed)
@@ -99,7 +100,7 @@ def _interfere_task(name: str, mode_name: str, scale: float, seed: int,
         recovery = {"factor": fmax,
                     "metrics": online_m,
                     "recovered": ratio(contended, online_m["cycles"]),
-                    "migrations": relayout.merged_plan().applied_count()}
+                    "migrations": merged_plan(relayout).applied_count()}
 
     return {"workload": name, "clean": clean_m, "arms": arms,
             "recovery": recovery}
@@ -247,12 +248,14 @@ def _check_empty_identity(scale: float, seed: int,
 # ----------------------------------------------------------------------
 def _parse_factors(text: str) -> Tuple[float, ...]:
     factors = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    if not factors or any(f < 0 for f in factors):
+    if not factors or any(not 0.0 <= f < math.inf for f in factors):
         raise ValueError(f"bad sweep {text!r}")
     return factors
 
 
 def cli(argv: Optional[List[str]] = None) -> int:
+    from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK,
+                                       add_run_arguments, load_input)
     parser = argparse.ArgumentParser(
         prog="python -m repro interfere",
         description="Concurrent-host interference: run workloads against "
@@ -264,8 +267,8 @@ def cli(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--plan", type=Path, default=None,
                         help="JSON host-traffic plan file (overrides "
                              "--seed/--intensity generation)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="plan-generation / run seed (default 0)")
+    add_run_arguments(parser, scale=0.05, mode="name",
+                      seed_help="plan generation and runs")
     parser.add_argument("--intensity", type=float, default=1.0,
                         help="base host intensity for generated plans "
                              "(default 1.0)")
@@ -273,13 +276,6 @@ def cli(argv: Optional[List[str]] = None) -> int:
                         help="comma-separated intensity factors "
                              f"(default: "
                              f"{','.join(str(f) for f in DEFAULT_FACTORS)})")
-    parser.add_argument("--mode", default="AFF_ALLOC",
-                        choices=["IN_CORE", "NEAR_L3", "AFF_ALLOC"],
-                        help="engine mode for the runs (default AFF_ALLOC)")
-    parser.add_argument("--scale", type=float, default=0.05,
-                        help="workload scale (default 0.05)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1)")
     parser.add_argument("--save-report", type=Path, default=None,
                         help="write the contention report JSON here")
     parser.add_argument("--save-plan", type=Path, default=None,
@@ -309,18 +305,13 @@ def cli(argv: Optional[List[str]] = None) -> int:
     else:
         factors = DEFAULT_FACTORS
     if args.plan is not None:
-        try:
-            plan = HostTrafficPlan.load(args.plan)
-        except (OSError, ValueError, KeyError) as exc:
-            parser.error(f"cannot load plan {args.plan}: {exc}")
+        plan = load_input(parser, args.plan, "plan", HostTrafficPlan.load)
     else:
         try:
             plan = HostTrafficPlan.generate(args.seed,
                                             intensity=args.intensity)
         except ValueError as exc:
             parser.error(f"--intensity: {exc}")
-
-    from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK
 
     if args.check_empty_identity:
         if not _check_empty_identity(args.scale, args.seed, print):

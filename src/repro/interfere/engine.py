@@ -5,8 +5,8 @@ Lifecycle (mirrors :mod:`repro.faults.injector`):
 1. A caller opens ``with interfere_session(plan, task=...)``, which
    pushes the session on the spine's stack (:mod:`repro.spine`).
 2. ``make_context`` (workloads/base.py) builds the :class:`Machine` and,
-   if a session is active and the plan is non-empty, calls
-   :meth:`InterferenceSession.attach` — creating an
+   if a session is active and the plan is non-empty, attaches it
+   (:meth:`repro.spine.Session.attach`) — creating an
    :class:`InterferenceState` bound to that machine
    (``machine.interference``).  Empty plans attach *nothing*: the clean
    path stays structurally identical, not merely numerically.
@@ -33,7 +33,7 @@ under fault composition.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, ContextManager, Dict, List, Optional
+from typing import TYPE_CHECKING, ContextManager, Dict, List
 
 import numpy as np
 
@@ -44,13 +44,13 @@ from repro.interfere.plan import (
     HostTrafficPlan,
     burst_multiplier,
 )
-from repro.spine import scoped
+from repro.spine import Session, scoped
 
 if TYPE_CHECKING:
     from repro.machine import Machine
     from repro.perf.stats import RunRecorder
 
-__all__ = ["InterferenceState", "InterferenceSession", "interfere_session"]
+__all__ = ["InterferenceState", "interfere_session"]
 
 #: Header-only host request payload (same figure the executor uses for
 #: indirect requests).
@@ -61,8 +61,8 @@ _LINK_BYTES = 64
 
 class InterferenceState:
     """Per-machine interference state: the plan, the epoch cursor, and
-    the injected-traffic ledger.  Created by
-    :meth:`InterferenceSession.attach`; reachable as
+    the injected-traffic ledger.  Created when an
+    :func:`interfere_session` attaches; reachable as
     ``machine.interference``."""
 
     def __init__(self, plan: HostTrafficPlan, machine: "Machine",
@@ -161,39 +161,17 @@ class InterferenceState:
         }
 
 
-class InterferenceSession:
-    """One plan, attachable to any number of machines (an intensity sweep
-    builds several contexts; each gets its own state)."""
-
-    kind = "interfere"
-
-    def __init__(self, plan: HostTrafficPlan, task: str = "") -> None:
-        self.plan = plan
-        self.task = task
-        self.states: List[InterferenceState] = []
-
-    def attach(self, machine: "Machine") -> Optional[InterferenceState]:
-        """Attach interference state to ``machine``.
-
-        Empty plans attach nothing: ``machine.interference`` stays None
-        and the run is *structurally* identical to an uncontended one —
-        the byte-identity property the tests pin falls out of this, not
-        out of arithmetic with zeros.
-        """
-        if self.plan.is_empty:
-            return None
-        state = InterferenceState(self.plan, machine, self.task)
-        machine.interference = state
-        self.states.append(state)
-        return state
-
-
 def interfere_session(plan: HostTrafficPlan,
-                      task: str = "") -> ContextManager[InterferenceSession]:
+                      task: str = "") -> ContextManager[Session]:
     """Make an interference session active for the block's dynamic extent.
 
     Machines built inside the block (via ``make_context``) get the plan
-    attached.  Sessions nest on the spine's stack
+    attached; each machine gets its own :class:`InterferenceState`.  An
+    empty plan is an inactive session: ``machine.interference`` stays
+    None and the run is *structurally* identical to an uncontended one —
+    the byte-identity property the tests pin falls out of this, not out
+    of arithmetic with zeros.  Sessions nest on the spine's stack
     (:func:`repro.spine.scoped`).
     """
-    return scoped(InterferenceSession(plan, task))
+    return scoped(Session("interfere", None if plan.is_empty else plan,
+                          task, InterferenceState))

@@ -30,8 +30,8 @@ the burst pattern and slowdown stays monotone in intensity.
 from __future__ import annotations
 
 import enum
-import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -40,6 +40,7 @@ from typing import Dict, List, Tuple, Union
 import numpy as np
 
 from repro.config import DEFAULT_CONFIG, SystemConfig
+from repro.spine import digest
 
 __all__ = ["HostStreamKind", "HostStream", "HostTrafficPlan",
            "burst_multiplier", "predict_host_injection"]
@@ -196,8 +197,7 @@ class HostTrafficPlan:
 
     def digest(self) -> str:
         """Stable 12-hex fingerprint, used to extend run cache keys."""
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
+        return digest(self.to_dict())
 
     # ------------------------------------------------------------------
     @classmethod
@@ -213,8 +213,9 @@ class HostTrafficPlan:
         streaming over a hot subset of banks, plus DMA-style tile-to-tile
         transfers crossing the mesh center.
         """
-        if intensity < 0.0:
-            raise ValueError("host intensity must be non-negative")
+        if not 0.0 <= intensity < math.inf:
+            raise ValueError("host intensity must be finite and "
+                             f"non-negative, got {intensity}")
         rng = np.random.default_rng(seed)
         streams: List[HostStream] = []
         if intensity == 0.0:

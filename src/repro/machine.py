@@ -15,8 +15,6 @@ manager; workloads and the stream executor only ever see the facade.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.arch.dram import DramModel
@@ -87,29 +85,29 @@ class Machine:
                                  config.page_size,
                                  interleaves=config.pool_interleaves)
 
-        # Chaos fault injection: populated by FaultSession.attach (see
+        # Chaos fault injection: populated by a fault session (see
         # repro.faults.injector); None on the healthy path, and every
         # layer's fault hook is gated on that None so clean runs execute
         # the exact original instruction stream.
         self.faults = None
 
-        # Online re-layout: populated by RelayoutSession.attach (see
+        # Online re-layout: populated by a relayout session (see
         # repro.relayout.engine); None when no autoplace session is
         # active, and every hook is gated on that None so static runs
         # execute the exact original instruction stream.
         self.relayout = None
 
-        # Observability: populated by TraceSession.attach (see
+        # Observability: populated by a trace session (see
         # repro.obs.tracer); None when no trace session is active, and
         # every hook is gated on that None so untraced runs execute the
         # exact original instruction stream.
         self.tracer = None
 
-        # Concurrent-host interference: populated by
-        # InterferenceSession.attach (see repro.interfere.engine); None
-        # on the uncontended path — including under an *empty* plan,
-        # which attaches nothing — and every hook is gated on that None
-        # so clean runs execute the exact original instruction stream.
+        # Concurrent-host interference: populated by an interfere
+        # session (see repro.interfere.engine); None on the uncontended
+        # path — including under an *empty* plan, which attaches
+        # nothing — and every hook is gated on that None so clean runs
+        # execute the exact original instruction stream.
         self.interference = None
 
     # ------------------------------------------------------------------

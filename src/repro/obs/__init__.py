@@ -14,8 +14,8 @@ One instrumentation spine for the whole simulator:
 """
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import (SPAN_CATEGORIES, TraceConfig, TraceSession,
-                              TraceState, trace_session)
+from repro.obs.tracer import (SPAN_CATEGORIES, TraceConfig, TraceState,
+                              trace_session)
 
 __all__ = ["MetricsRegistry", "SPAN_CATEGORIES", "TraceConfig",
-           "TraceSession", "TraceState", "trace_session"]
+           "TraceState", "trace_session"]

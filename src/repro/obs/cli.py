@@ -28,7 +28,8 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK, add_seed_argument
+from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK, add_run_arguments,
+                                   load_input, non_negative_int)
 from repro.obs.export import (channel_labels, chrome_trace, diff_traces,
                               metrics_csv_lines, top_entries,
                               validate_chrome_trace)
@@ -158,10 +159,6 @@ def _dump_json(obj: Any, path: Path) -> None:
                     encoding="utf-8")
 
 
-def _load_json(path: Path) -> Any:
-    return json.loads(path.read_text(encoding="utf-8"))
-
-
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
@@ -174,15 +171,7 @@ def cli(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("targets", nargs="*", default=[],
                         help=f"workload names or experiment ids (default: "
                              f"{', '.join(DEFAULT_TARGETS)})")
-    parser.add_argument("--mode", default="AFF_ALLOC",
-                        choices=["IN_CORE", "NEAR_L3", "AFF_ALLOC"],
-                        help="engine mode for plain workload targets "
-                             "(default AFF_ALLOC)")
-    parser.add_argument("--scale", type=float, default=0.05,
-                        help="workload scale (default 0.05)")
-    add_seed_argument(parser)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1)")
+    add_run_arguments(parser, scale=0.05, mode="name")
     parser.add_argument("--out", type=Path, default=None,
                         help="write the Chrome trace-event JSON here "
                              "(load it at https://ui.perfetto.dev)")
@@ -194,7 +183,7 @@ def cli(argv: Optional[List[str]] = None) -> int:
                              "channels per machine")
     parser.add_argument("--no-args", action="store_true",
                         help="drop instant arguments from the trace")
-    parser.add_argument("--max-events", type=int, default=None,
+    parser.add_argument("--max-events", type=non_negative_int, default=None,
                         help="cap on buffered instants per machine")
     parser.add_argument("--diff", nargs=2, type=Path, metavar=("A", "B"),
                         default=None,
@@ -206,8 +195,8 @@ def cli(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.diff is not None:
-        problems = diff_traces(_load_json(args.diff[0]),
-                               _load_json(args.diff[1]))
+        problems = diff_traces(load_input(parser, args.diff[0], "trace"),
+                               load_input(parser, args.diff[1], "trace"))
         for p in problems:
             print(p)
         if problems:
@@ -217,7 +206,8 @@ def cli(argv: Optional[List[str]] = None) -> int:
         return EXIT_OK
 
     if args.validate is not None:
-        problems = validate_chrome_trace(_load_json(args.validate))
+        problems = validate_chrome_trace(
+            load_input(parser, args.validate, "trace"))
         for p in problems:
             print(p)
         if problems:

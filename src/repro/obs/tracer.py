@@ -23,18 +23,16 @@ exact original instruction stream and stay byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, ContextManager, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import (MetricsRegistry, publish_alloc_stats,
                                publish_fault_state, publish_relayout_state,
                                publish_run)
-from repro.spine import scoped
+from repro.spine import Session, digest, scoped
 
-__all__ = ["SPAN_CATEGORIES", "TraceConfig", "TraceEvent", "TraceSession",
-           "TraceState", "trace_session"]
+__all__ = ["SPAN_CATEGORIES", "TraceConfig", "TraceEvent", "TraceState",
+           "trace_session"]
 
 #: The span/instant taxonomy (DESIGN.md §10).
 SPAN_CATEGORIES: Tuple[str, ...] = (
@@ -52,9 +50,8 @@ class TraceConfig:
     max_events: int = 200_000
 
     def digest(self) -> str:
-        """Short stable digest for cache keys (mirror of RelayoutConfig)."""
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        """Short stable digest for cache keys."""
+        return digest(asdict(self))
 
 
 @dataclass
@@ -71,12 +68,12 @@ class TraceEvent:
 class TraceState:
     """Per-machine tracing state; reachable as ``machine.tracer``.
 
-    Created by :meth:`TraceSession.attach`.  Buffers instants during the
+    Created when a :func:`trace_session` attaches.  Buffers instants during the
     run, snapshots per-phase counter totals at each ``end_phase``, and
     resolves everything onto the virtual-time axis at run end.
     """
 
-    def __init__(self, machine: Any, cfg: TraceConfig, task: str = ""):
+    def __init__(self, cfg: TraceConfig, machine: Any, task: str = ""):
         self.machine = machine
         self.cfg = cfg
         self.task = task
@@ -219,39 +216,12 @@ class TraceState:
         return out
 
 
-class TraceSession:
-    """One traced scope: config + every machine state it attached.
-
-    ``cfg=None`` builds an explicitly *inactive* session (attach no-ops),
-    mirroring :class:`~repro.relayout.engine.RelayoutSession`.
-    """
-
-    kind = "trace"
-
-    def __init__(self, cfg: Optional[TraceConfig], task: str = ""):
-        self.cfg = cfg
-        self.task = task
-        self.states: List[TraceState] = []
-
-    @property
-    def active(self) -> bool:
-        return self.cfg is not None
-
-    def attach(self, machine: Any) -> Optional[TraceState]:
-        if self.cfg is None:
-            return None
-        state = TraceState(machine, self.cfg, task=self.task)
-        machine.tracer = state
-        self.states.append(state)
-        return state
-
-
 def trace_session(cfg: Optional[TraceConfig],
-                  task: str = "") -> ContextManager[TraceSession]:
+                  task: str = "") -> ContextManager[Session]:
     """Scope a tracing session on the spine's stack.
 
     Every machine built by ``make_context`` inside the scope gets a
     :class:`TraceState` attached; pass ``cfg=None`` to force-disable
     tracing inside an outer active session.
     """
-    return scoped(TraceSession(cfg, task=task))
+    return scoped(Session("trace", cfg, task, TraceState))

@@ -14,7 +14,7 @@ Everything is deterministic: same seed + same telemetry produce the same
 plan, serially or across a process pool.
 """
 
-from repro.relayout.engine import (RelayoutSession, RelayoutState,
+from repro.relayout.engine import (RelayoutState, merged_plan,
                                    relayout_session)
 from repro.relayout.plan import Migration, MigrationKind, MigrationPlan
 from repro.relayout.policy import ArrayDrift, RelayoutConfig, Telemetry, decide
@@ -25,9 +25,9 @@ __all__ = [
     "MigrationKind",
     "MigrationPlan",
     "RelayoutConfig",
-    "RelayoutSession",
     "RelayoutState",
     "Telemetry",
     "decide",
+    "merged_plan",
     "relayout_session",
 ]

@@ -90,7 +90,7 @@ def _autoplace_task(scenario: str, scale: float, seed: int,
     identically whatever the process layout."""
     from repro.harness.report import run_metrics
     from repro.nsc.engine import EngineMode
-    from repro.relayout.engine import relayout_session
+    from repro.relayout.engine import merged_plan, relayout_session
     from repro.workloads.base import run_workload
 
     workload, overrides = SCENARIOS[scenario](scale, seed)
@@ -100,7 +100,7 @@ def _autoplace_task(scenario: str, scale: float, seed: int,
     with relayout_session(cfg, task=scenario) as session:
         online = run_workload(workload, EngineMode.AFF_ALLOC, scale=scale,
                               seed=seed, **overrides)
-    plan = session.merged_plan()
+    plan = merged_plan(session)
     post = None
     for state in session.states:
         post = _post_locality(state) if post is None else post
@@ -197,6 +197,8 @@ def run_autoplace(scenarios: Sequence[str],
 # CLI
 # ----------------------------------------------------------------------
 def cli(argv: Optional[List[str]] = None) -> int:
+    from repro.harness.cliutil import (EXIT_FAILURE, EXIT_OK,
+                                       add_run_arguments, non_negative_int)
     parser = argparse.ArgumentParser(
         prog="python -m repro autoplace",
         description="Telemetry-driven online re-layout: compare the "
@@ -205,13 +207,9 @@ def cli(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("scenarios", nargs="*", default=[],
                         help=f"scenario names (default: "
                              f"{', '.join(DEFAULT_SCENARIOS)})")
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="workload scale (default 1.0)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="run seed (default 0)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes (default 1)")
-    parser.add_argument("--max-per-epoch", type=int, default=None,
+    add_run_arguments(parser, scale=1.0)
+    parser.add_argument("--max-per-epoch", type=non_negative_int,
+                        default=None,
                         help="migration bound per epoch")
     parser.add_argument("--min-recovery", type=float, default=0.0,
                         help="fail unless some scenario recovers at least "
@@ -231,9 +229,6 @@ def cli(argv: Optional[List[str]] = None) -> int:
         parser.error(f"unknown scenario(s): {', '.join(bad)}; "
                      f"available: {', '.join(sorted(SCENARIOS))}")
     cfg = RelayoutConfig(seed=args.seed)
-    if args.max_per_epoch is not None and args.max_per_epoch < 0:
-        parser.error(f"--max-per-epoch must be non-negative, "
-                     f"got {args.max_per_epoch}")
     if args.max_per_epoch is not None:
         from dataclasses import replace
         cfg = replace(cfg, max_per_epoch=args.max_per_epoch)
@@ -247,7 +242,6 @@ def cli(argv: Optional[List[str]] = None) -> int:
     if args.save_plan is not None:
         report.plan.save(args.save_plan)
         print(f"migration plan -> {args.save_plan}")
-    from repro.harness.cliutil import EXIT_FAILURE, EXIT_OK
     if args.check_determinism and not check_determinism(
             report.to_json(),
             lambda jobs: run_autoplace(scenarios, cfg, scale=args.scale,

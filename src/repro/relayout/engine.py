@@ -40,25 +40,25 @@ from repro.core.affine import LayoutKind
 from repro.relayout.plan import Migration, MigrationKind, MigrationPlan
 from repro.relayout.policy import (ArrayDrift, Decision, RelayoutConfig,
                                    Telemetry, decide)
-from repro.spine import scoped
+from repro.spine import Session, scoped
 
 if TYPE_CHECKING:
     from repro.core.api import ArrayHandle
     from repro.machine import Machine
     from repro.perf.stats import PhaseStats, RunRecorder
 
-__all__ = ["RelayoutSession", "RelayoutState", "relayout_session"]
+__all__ = ["RelayoutState", "merged_plan", "relayout_session"]
 
 
 class RelayoutState:
     """Per-machine online re-layout state; reachable as ``machine.relayout``.
 
-    Created by :meth:`RelayoutSession.attach`.  Holds the rolling bank
+    Created when a :func:`relayout_session` attaches.  Holds the rolling bank
     heat, the current epoch's drift accumulators, cooldown bookkeeping,
     and the growing migration record.
     """
 
-    def __init__(self, machine: Machine, cfg: RelayoutConfig,
+    def __init__(self, cfg: RelayoutConfig, machine: Machine,
                  task: str = "") -> None:
         self.machine = machine
         self.cfg = cfg
@@ -341,45 +341,22 @@ class RelayoutState:
                              max_per_epoch=self.cfg.max_per_epoch)
 
 
-class RelayoutSession:
-    """One autoplace run: config + every machine state it attached.
-
-    ``cfg=None`` builds an explicitly *inactive* session: :meth:`attach`
-    no-ops, so workloads running inside it stay static even when an
-    outer active session exists (nested sessions shadow outer ones).
-    """
-
-    kind = "relayout"
-
-    def __init__(self, cfg: Optional[RelayoutConfig],
-                 task: str = "") -> None:
-        self.cfg = cfg
-        self.task = task
-        self.states: List[RelayoutState] = []
-
-    def attach(self, machine: Machine) -> Optional[RelayoutState]:
-        if self.cfg is None:
-            return None
-        state = RelayoutState(machine, self.cfg, task=self.task)
-        machine.relayout = state
-        self.states.append(state)
-        return state
-
-    def merged_plan(self) -> MigrationPlan:
-        cfg = self.cfg if self.cfg is not None else RelayoutConfig()
-        plan = MigrationPlan.empty(seed=cfg.seed,
-                                   max_per_epoch=cfg.max_per_epoch)
-        for state in self.states:
-            plan = plan.merged_with(state.plan())
-        return plan
+def merged_plan(session: Session) -> MigrationPlan:
+    """Every machine's migration record of one relayout session, merged."""
+    cfg = session.cfg if session.cfg is not None else RelayoutConfig()
+    plan = MigrationPlan.empty(seed=cfg.seed,
+                               max_per_epoch=cfg.max_per_epoch)
+    for state in session.states:
+        plan = plan.merged_with(state.plan())
+    return plan
 
 
 def relayout_session(cfg: Optional[RelayoutConfig],
-                     task: str = "") -> ContextManager[RelayoutSession]:
+                     task: str = "") -> ContextManager[Session]:
     """Scope an online re-layout session on the spine's stack.
 
     Every machine built by ``make_context`` inside the scope gets a
     :class:`RelayoutState` attached; pass ``cfg=None`` to force-disable
     relayout inside an outer active session (the static arm's tool).
     """
-    return scoped(RelayoutSession(cfg, task=task))
+    return scoped(Session("relayout", cfg, task, RelayoutState))

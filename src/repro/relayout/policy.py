@@ -23,12 +23,11 @@ Decision rules (paper framing: keep forwarding distance near zero):
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
 from repro.relayout.plan import MigrationKind
+from repro.spine import digest
 
 __all__ = ["ArrayDrift", "Decision", "RelayoutConfig", "Telemetry", "decide"]
 
@@ -60,8 +59,7 @@ class RelayoutConfig:
 
     def digest(self) -> str:
         """Short stable hash for cache keys and run fingerprints."""
-        blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return digest(asdict(self))
 
 
 @dataclass(frozen=True)

@@ -1,44 +1,80 @@
 """The scenario spine (DESIGN.md §14): the plumbing that fault injection,
 online re-layout, tracing, and host interference share — one session
-stack, one fan-out with one worker-crash budget, one determinism gate.
+class and stack, one config digest, one fan-out with one worker-crash
+budget, one determinism gate.
 
 Stdlib only: the subsystems import the spine, never the other way round.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
 from typing import (Any, Callable, Dict, Iterator, List, Mapping, Optional,
-                    Protocol, Sequence, TypeVar)
+                    Sequence, TypeVar)
 
 from repro.analysis.diagnostics import WorkerCrashError
 
-__all__ = ["ATTACH_ORDER", "MAX_RESTARTS", "Session", "active",
-           "attach_all", "check_determinism", "fan_out", "scoped"]
+__all__ = ["ATTACH_ORDER", "MAX_RESTARTS", "SLOTS", "Session", "active",
+           "attach_all", "check_determinism", "digest", "fan_out", "scoped"]
+
+#: Session kind -> the machine attribute its state lands on, in the
+#: order :func:`attach_all` attaches them.
+SLOTS = {"faults": "faults", "relayout": "relayout", "trace": "tracer",
+         "interfere": "interference"}
 
 #: Session kinds in the order :func:`attach_all` attaches them.
-ATTACH_ORDER = ("faults", "relayout", "trace", "interfere")
+ATTACH_ORDER = tuple(SLOTS)
 
 #: Restarts granted per task before an injected worker crash propagates
 #: (a crash budget beyond this is a plan bug, not a degradation scenario).
 MAX_RESTARTS = 3
 
 
-class Session(Protocol):
-    kind: str
+def digest(payload: Any) -> str:
+    """Short stable digest of a JSON-able config, for cache keys."""
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
-    def attach(self, machine: Any) -> Any: ...
+
+class Session:
+    """One scenario scope: a config plus every per-machine state it
+    attached (a run may build several machines; each gets its own).
+
+    ``cfg=None`` is an explicitly *inactive* session: :meth:`attach`
+    no-ops, so it still shadows an outer session of the same kind.
+    ``make_state(cfg, machine, task)`` builds one machine's state.
+    """
+
+    __slots__ = ("kind", "cfg", "task", "states", "make_state")
+
+    def __init__(self, kind: str, cfg: Any, task: str,
+                 make_state: Callable[[Any, Any, str], Any]) -> None:
+        self.kind = kind
+        self.cfg = cfg
+        self.task = task
+        self.states: List[Any] = []
+        self.make_state = make_state
+
+    def attach(self, machine: Any) -> Any:
+        """Attach a fresh state to ``machine``'s slot (None if inactive)."""
+        if self.cfg is None:
+            return None
+        state = self.make_state(self.cfg, machine, self.task)
+        setattr(machine, SLOTS[self.kind], state)
+        self.states.append(state)
+        return state
 
 
-S = TypeVar("S", bound=Session)
 R = TypeVar("R")
 
 _STACK: List[Session] = []
 
 
 @contextmanager
-def scoped(session: S) -> Iterator[S]:
+def scoped(session: Session) -> Iterator[Session]:
     """Make ``session`` active for the block (sessions nest)."""
     _STACK.append(session)
     try:

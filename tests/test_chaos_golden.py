@@ -208,6 +208,8 @@ class TestChaosCliUsage:
     def test_negative_rate_is_usage_error(self):
         from repro.faults.chaos import cli as chaos_cli
         from repro.harness.cliutil import EXIT_USAGE
-        with pytest.raises(SystemExit) as exc:
-            chaos_cli(["vecadd", "--rate", "-1"])
-        assert exc.value.code == EXIT_USAGE
+        for argv in (["vecadd", "--rate", "-1"],
+                     ["vecadd", "--scale", "-1"]):
+            with pytest.raises(SystemExit) as exc:
+                chaos_cli(argv)
+            assert exc.value.code == EXIT_USAGE, argv

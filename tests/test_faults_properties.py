@@ -22,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.api import AffineArray
 from repro.core.runtime import AffinityAllocator
-from repro.faults.injector import FaultSession, fault_session
+from repro.faults.injector import fault_session
 from repro.faults.log import FaultEventLog
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.machine import Machine
@@ -39,9 +39,9 @@ NUM_BANKS = 64
 
 
 def attach_plan(machine, plan, log=None):
-    """Attach a plan to one machine outside any global session."""
-    session = FaultSession(plan, log)
-    return session.attach(machine), session
+    """Attach a plan to one machine outside any run."""
+    with fault_session(plan, log) as session:
+        return session.attach(machine), session
 
 
 def bank_fail_plan(banks, rehome=True, phase="boot"):
@@ -167,7 +167,8 @@ class TestDegradedRunsTerminate:
         with fault_session(plan, log) as session:
             r = run_workload("vecadd", EngineMode.AFF_ALLOC, scale=0.02,
                              seed=0)
-            session.finalize()
+            for state in session.states:
+                state.finalize()
         assert np.isfinite(r.cycles) and r.cycles > 0
         assert log.count("unhandled") == 0
 
@@ -181,7 +182,8 @@ class TestDegradedRunsTerminate:
             with fault_session(plan, log) as session:
                 run_workload("vecadd", EngineMode.AFF_ALLOC, scale=0.02,
                              seed=0)
-                session.finalize()
+                for state in session.states:
+                    state.finalize()
             logs.append(log)
         assert logs[0] == logs[1]
 
@@ -197,7 +199,8 @@ class TestEmptyPlanBitIdentity:
         with fault_session(FaultPlan.empty(), log) as session:
             faulted = run_workload(name, EngineMode.AFF_ALLOC, scale=0.03,
                                    seed=0)
-            session.finalize()
+            for state in session.states:
+                state.finalize()
         assert faulted.cycles == clean.cycles
         assert faulted.total_flit_hops == clean.total_flit_hops
         assert faulted.counters == clean.counters

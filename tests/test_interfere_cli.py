@@ -56,14 +56,16 @@ class TestInterfereCli:
         assert exc.value.code == EXIT_USAGE
 
     def test_bad_sweep_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            interfere_cli(["vecadd", "--sweep", "1,-2"])
-        assert exc.value.code == EXIT_USAGE
+        for sweep in ("1,-2", "nan", "inf"):
+            with pytest.raises(SystemExit) as exc:
+                interfere_cli(["vecadd", "--sweep", sweep])
+            assert exc.value.code == EXIT_USAGE, sweep
 
     def test_negative_intensity_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            interfere_cli(["vecadd", "--intensity", "-3"])
-        assert exc.value.code == EXIT_USAGE
+        for intensity in ("-3", "nan"):
+            with pytest.raises(SystemExit) as exc:
+                interfere_cli(["vecadd", "--intensity", intensity])
+            assert exc.value.code == EXIT_USAGE, intensity
 
     def test_unmet_min_slowdown_is_check_failure(self):
         assert interfere_cli(["vecadd", "--scale", "0.05", "--sweep",

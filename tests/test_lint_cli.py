@@ -56,6 +56,16 @@ class TestCli:
             "    session.add_plan(plan)\n")
         assert cli([str(clean), "--expect-findings"]) == 1
 
+    def test_unreadable_replay_file_is_usage_error(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"records": [')
+        for path in (str(tmp_path / "nope.json"), str(broken)):
+            for flag in ("--fault-log", "--migration-plan"):
+                with pytest.raises(SystemExit) as exc:
+                    cli([flag, path])
+                assert exc.value.code == 2, (flag, path)
+                assert "cannot load" in capsys.readouterr().err
+
     def test_main_delegates_lint_subcommand(self):
         from repro.__main__ import main
         assert main(["lint"]) == 0

@@ -47,7 +47,7 @@ class TestCleanPathIdentity:
     def test_off_session_attaches_nothing(self):
         with trace_session(None) as session:
             assert active("trace") is session
-            assert not session.active
+            assert session.cfg is None
             result = run_workload("vecadd", EngineMode.AFF_ALLOC,
                                   scale=SCALE, seed=0)
         assert session.states == []

@@ -123,6 +123,8 @@ class TestAutoplaceCliUsage:
     def test_negative_max_per_epoch_is_usage_error(self):
         from repro.harness.cliutil import EXIT_USAGE
         from repro.relayout.autoplace import cli as autoplace_cli
-        with pytest.raises(SystemExit) as exc:
-            autoplace_cli(["stream_flip", "--max-per-epoch", "-1"])
-        assert exc.value.code == EXIT_USAGE
+        for argv in (["stream_flip", "--max-per-epoch", "-1"],
+                     ["stream_flip", "--scale", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                autoplace_cli(argv)
+            assert exc.value.code == EXIT_USAGE, argv

@@ -32,7 +32,7 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness import runner
 from repro.nsc.engine import EngineMode
 from repro.relayout.autoplace import run_autoplace
-from repro.relayout.engine import relayout_session
+from repro.relayout.engine import merged_plan, relayout_session
 from repro.relayout.plan import MigrationKind, MigrationPlan
 from repro.relayout.policy import (ArrayDrift, RelayoutConfig, Telemetry,
                                    decide)
@@ -155,7 +155,7 @@ class TestEngineDeterminism:
             with relayout_session(RelayoutConfig(seed=seed)) as session:
                 run_workload("stream_flip", EngineMode.AFF_ALLOC,
                              scale=0.1, seed=seed)
-            plans.append(session.merged_plan())
+            plans.append(merged_plan(session))
         assert plans[0].to_json() == plans[1].to_json()
         assert plans[0].applied_count() > 0  # the scenario really drifts
 
@@ -163,7 +163,7 @@ class TestEngineDeterminism:
         with relayout_session(RelayoutConfig()) as session:
             run_workload("stream_flip", EngineMode.AFF_ALLOC, scale=0.1,
                          seed=0)
-        plan = session.merged_plan()
+        plan = merged_plan(session)
         assert MigrationPlan.from_json(plan.to_json()) == plan
 
 
@@ -177,7 +177,7 @@ class TestFaultComposition:
                 r = run_workload("stream_flip", EngineMode.AFF_ALLOC,
                                  scale=0.1, seed=0)
         assert np.isfinite(r.cycles) and r.cycles > 0
-        plan = session.merged_plan()
+        plan = merged_plan(session)
         failed = set(banks)
         for m in plan.migrations:
             if m.applied:
@@ -213,7 +213,7 @@ class TestZeroDriftInvisible:
         with relayout_session(RelayoutConfig()) as session:
             online = run_workload("bfs", EngineMode.AFF_ALLOC, scale=0.05,
                                   seed=0)
-        assert session.merged_plan().applied_count() == 0
+        assert merged_plan(session).applied_count() == 0
         assert online.cycles == static.cycles
         assert online.total_flit_hops == static.total_flit_hops
         assert online.counters == static.counters

@@ -122,6 +122,16 @@ class TestCliIntegration:
         out = capsys.readouterr().out
         assert "Fig 17" in out and "wall" in out
 
+    def test_bad_scale_is_usage_error(self, capsys):
+        from repro.__main__ import main
+        for argv in (["run", "vecadd", "--scale", "-1"],
+                     ["fig4", "--scale", "-1", "--no-lint"],
+                     ["fig4", "--scale", "nan"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        assert "--scale" in capsys.readouterr().err
+
     def test_multi_experiment_writes_results(self, fresh_cache, tmp_path,
                                              capsys, monkeypatch):
         from repro.__main__ import main

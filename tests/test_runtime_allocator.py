@@ -238,13 +238,14 @@ class TestFaultDegradation:
 
     def test_injected_alloc_fault_fires_once_by_ordinal(self, machine,
                                                         alloc):
-        from repro.faults.injector import FaultSession
+        from repro.faults.injector import fault_session
         from repro.faults.log import FaultEventLog
         from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
         log = FaultEventLog()
         plan = FaultPlan(events=(
             FaultEvent(FaultKind.ALLOC_FAIL, 1, phase="boot"),))
-        FaultSession(plan, log).attach(machine)
+        with fault_session(plan, log) as session:
+            session.attach(machine)
         first = alloc.malloc_affine(AffineArray(4, 1024))   # ordinal 0: fine
         second = alloc.malloc_affine(AffineArray(4, 1024))  # ordinal 1: fails
         third = alloc.malloc_affine(AffineArray(4, 1024))   # ordinal 2: fine

@@ -6,21 +6,27 @@
   fixed order, so nesting order never changes a run.
 """
 
+import itertools
 import time
+from contextlib import ExitStack
 
 import pytest
 
 from repro.analysis.diagnostics import WorkerCrashError
+from repro.config import DEFAULT_CONFIG
 from repro.faults.chaos import run_chaos
+from repro.faults.injector import fault_session
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.harness.report import run_metrics
 from repro.interfere.engine import interfere_session
 from repro.interfere.plan import HostTrafficPlan
+from repro.machine import Machine
 from repro.nsc.engine import EngineMode
+from repro.obs.tracer import TraceConfig, trace_session
 from repro.relayout.engine import relayout_session
 from repro.relayout.policy import RelayoutConfig
-from repro.spine import (ATTACH_ORDER, MAX_RESTARTS, active, attach_all,
-                         check_determinism, fan_out, scoped)
+from repro.spine import (ATTACH_ORDER, MAX_RESTARTS, SLOTS, active,
+                         attach_all, check_determinism, fan_out, scoped)
 from repro.workloads.base import make_context, run_workload
 
 
@@ -96,6 +102,45 @@ class _Probe:
         self.calls.append(self.kind)
 
 
+class _SlotLog(Machine):
+    """A machine that records which session slots get filled, in order."""
+
+    def __setattr__(self, name, value):
+        if name in SLOTS.values() and value is not None:
+            self.__dict__.setdefault("filled", []).append(name)
+        super().__setattr__(name, value)
+
+
+def _live_presets():
+    """The four presets, each with a config that attaches, by kind."""
+    bank_fail = FaultPlan(events=(
+        FaultEvent(FaultKind.BANK_FAIL, 5, phase="boot", rehome=True),))
+    return {
+        "faults": fault_session(bank_fail),
+        "relayout": relayout_session(RelayoutConfig(seed=0)),
+        "trace": trace_session(TraceConfig()),
+        "interfere": interfere_session(
+            HostTrafficPlan.generate(0).scaled(4.0)),
+    }
+
+
+def _run_nested(order):
+    """Run one workload inside the four live presets, opened in
+    ``order``; returns (result, sessions by kind)."""
+    presets = _live_presets()
+    with ExitStack() as stack:
+        sessions = {kind: stack.enter_context(presets[kind])
+                    for kind in order}
+        result = run_workload("hash_join_skew", EngineMode.AFF_ALLOC,
+                              scale=0.5, seed=0)
+    return result, sessions
+
+
+@pytest.fixture(scope="module")
+def canonical_run():
+    return _run_nested(ATTACH_ORDER)
+
+
 class TestSessionStack:
     def test_inner_inactive_session_shadows_outer(self):
         with relayout_session(RelayoutConfig(seed=0)) as outer:
@@ -118,24 +163,46 @@ class TestSessionStack:
             attach_all(object())
         assert calls == list(ATTACH_ORDER)
 
-    def test_nesting_order_does_not_change_the_run(self):
-        def run(interfere_outside):
-            host = interfere_session(HostTrafficPlan.generate(0).scaled(4.0))
-            online = relayout_session(RelayoutConfig(seed=0))
-            first, second = ((host, online) if interfere_outside
-                             else (online, host))
-            with first as s1, second as s2:
-                result = run_workload("hash_join_skew", EngineMode.AFF_ALLOC,
-                                      scale=0.5, seed=0)
-            sessions = {s.kind: s for s in (s1, s2)}
-            epochs = sum(st.epoch_index
-                         for st in sessions["interfere"].states)
-            moves = sum(st.total_applied
-                        for st in sessions["relayout"].states)
-            return result, epochs, moves
+    # ids spell the nesting order by initials: "ftri" opens faults,
+    # then trace, relayout, interfere (outermost first)
+    @pytest.mark.parametrize("order",
+                             list(itertools.permutations(ATTACH_ORDER)),
+                             ids=lambda order: "".join(k[0] for k in order))
+    def test_nesting_order_does_not_change_the_run(self, order,
+                                                   canonical_run):
+        presets = _live_presets()
+        with ExitStack() as stack:
+            sessions = {kind: stack.enter_context(presets[kind])
+                        for kind in order}
+            machine = _SlotLog(DEFAULT_CONFIG)
+            attach_all(machine)
+            # faults -> relayout -> trace -> interfere, each preset
+            # filling its own slot, whatever the nesting order
+            assert machine.filled == [SLOTS[k] for k in ATTACH_ORDER]
+            for kind, session in sessions.items():
+                assert session.kind == kind
+                assert getattr(machine, SLOTS[kind]) is session.states[0]
+            # cfg=None and an empty host plan attach nothing, yet shadow
+            with relayout_session(None) as no_relayout, \
+                    trace_session(None) as no_trace, \
+                    interfere_session(HostTrafficPlan.empty()) as no_host:
+                bare = _SlotLog(DEFAULT_CONFIG)
+                attach_all(bare)
+                assert bare.filled == [SLOTS["faults"]]
+                for inner in (no_relayout, no_trace, no_host):
+                    assert active(inner.kind) is inner
+                    assert inner.states == []
+            for kind, session in sessions.items():
+                assert active(kind) is session
 
-        (a, epochs_a, moves_a), (b, epochs_b, moves_b) = run(True), run(False)
-        assert epochs_a == epochs_b > 0
-        assert moves_a == moves_b > 0
+        a, nested = _run_nested(order)
+        b, canonical = canonical_run
+        epochs_a, epochs_b = ([st.epoch_index for st in s["interfere"].states]
+                              for s in (nested, canonical))
+        assert epochs_a == epochs_b and epochs_a[0] > 0
+        moves_a, moves_b = ([st.total_applied for st in s["relayout"].states]
+                            for s in (nested, canonical))
+        assert moves_a == moves_b and moves_a[0] > 0
+        assert nested["trace"].states[0].runs
         assert run_metrics(a) == run_metrics(b)
         assert a.counters == b.counters

@@ -78,10 +78,22 @@ class TestTraceCli:
         capsys.readouterr()
 
     def test_unknown_target_exits_usage(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            trace_cli(["no_such_workload"])
-        assert exc.value.code == EXIT_USAGE
+        for argv in (["no_such_workload"], ["vecadd", "--scale", "-1"],
+                     ["vecadd", "--max-events", "-5"]):
+            with pytest.raises(SystemExit) as exc:
+                trace_cli(argv)
+            assert exc.value.code == EXIT_USAGE, argv
         capsys.readouterr()
+
+    def test_unreadable_trace_file_exits_usage(self, tmp_path, capsys):
+        broken = tmp_path / "broken.json"
+        broken.write_text('{"traceEvents": [')
+        for path in (str(tmp_path / "nope.json"), str(broken)):
+            for argv in (["--diff", path, path], ["--validate", path]):
+                with pytest.raises(SystemExit) as exc:
+                    trace_cli(argv)
+                assert exc.value.code == EXIT_USAGE, argv
+                assert "cannot load trace" in capsys.readouterr().err
 
     def test_jobs_byte_identity(self, tmp_path, capsys):
         paths = {}
